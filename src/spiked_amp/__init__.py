@@ -24,13 +24,8 @@ from .decomp import (
     LedgerInconsistencyError,
     ResidualDiagnostics,
     build_ledger,
-    extend_basis,
     gaussianity_report,
-    ledger_init,
-    project_w,
-    record_iteration,
     residual_diagnostics,
-    synthesize_phi,
 )
 from .denoise import (
     DegenerateIterateError,

@@ -159,11 +159,18 @@ def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
 
     y = v_tilde.copy()
     log_a = 0.0
-    for _ in range(s):
+    for step in range(1, s + 1):
         y = M @ y
         nrm = np.linalg.norm(y)
+        if nrm == 0.0:
+            raise ValueError(
+                f"spectral_init: power step {step} gave ||M y|| = 0 "
+                "(the start vector is in M's null space)"
+            )
         log_a -= np.log(nrm)
         y /= nrm
+    # M symmetric and M y != 0 imply M^2 y != 0, so the steps below cannot
+    # hit a zero vector
     x1 = y.copy()
     for _ in range(s):
         y = M @ y

@@ -3,8 +3,10 @@
 Alongside a trajectory x_1..x_T this module maintains:
 
 * an orthonormal basis z_k grown by Gram-Schmidt from the denoised iterates,
-* the noise matrix with those directions projected out (W_k sequence),
-* augmentation vectors zeta_k and synthesized Gaussians phi_k = W_k z_k + zeta_k,
+* synthesized Gaussians phi_k = W_k z_k + zeta_k, where W_k = P_k W P_k is
+  the noise with the used directions projected out (P_k = I - U_k U_k^T,
+  U_k = [z_0 .. z_{k-1}]) and zeta_k an augmentation vector; W_k is only
+  ever applied to z_k (one matvec plus O(nk) work), never stored,
 * and per-iteration coefficients so that
 
       x_{t+1} = alpha_{t+1} v* + sum_k beta_t^k phi_k + xi_t
@@ -38,13 +40,8 @@ __all__ = [
     "ResidualDiagnostics",
     "build_ledger",
     "coordinate_w1",
-    "extend_basis",
     "gaussianity_report",
-    "ledger_init",
-    "project_w",
-    "record_iteration",
     "residual_diagnostics",
-    "synthesize_phi",
 ]
 
 # Coefficient of the z_k-direction variance correction in zeta_k.  The
@@ -67,8 +64,6 @@ class LedgerInconsistencyError(RuntimeError):
 class DecompositionLedger:
     aux_seed: int
     basis: list[np.ndarray] = field(default_factory=list)
-    projected: np.ndarray | None = None  # current W_k
-    zetas: list[np.ndarray] = field(default_factory=list)
     phis: list[np.ndarray] = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)  # alpha_{t+1} per record
     betas: list[np.ndarray] = field(default_factory=list)
@@ -79,14 +74,9 @@ class DecompositionLedger:
     # raw pieces of each zeta_k, kept for the exact residual identities
     gs: list[np.ndarray] = field(default_factory=list)
     zwz: list[float] = field(default_factory=list)
-    n_projected: int = 0  # basis vectors already folded into `projected`
 
 
-def ledger_init(model: SpikedModel, aux_seed: int) -> DecompositionLedger:
-    return DecompositionLedger(aux_seed=aux_seed, projected=model.noise.copy())
-
-
-def extend_basis(ledger: DecompositionLedger, eta_xt: np.ndarray) -> np.ndarray:
+def _extend_basis(ledger: DecompositionLedger, eta_xt: np.ndarray) -> np.ndarray:
     """Append the normalized Gram-Schmidt residual of eta_xt to the basis."""
     r = np.array(eta_xt, dtype=np.float64)
     for _ in range(2):  # twice is enough to hold orthogonality at 1e-10
@@ -102,77 +92,14 @@ def extend_basis(ledger: DecompositionLedger, eta_xt: np.ndarray) -> np.ndarray:
     return z
 
 
-def project_w(ledger: DecompositionLedger) -> None:
-    """Fold every not-yet-applied basis vector into the projected matrix."""
-    pending = ledger.basis[ledger.n_projected :]
-    if not pending:
-        raise ValueError("no basis vector added since the last projection")
-    W = ledger.projected
-    for z in pending:
-        w = W @ z
-        q = float(z @ w)
-        # (I - zz^T) W (I - zz^T) as a symmetric rank-2 correction
-        W -= np.outer(z, w) + np.outer(w, z) - q * np.outer(z, z)
-    ledger.n_projected = len(ledger.basis)
+def _apply_projected(W: np.ndarray, U: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W_k z = P W P z with P = I - U U^T for orthonormal columns U.
 
-
-def synthesize_phi(ledger: DecompositionLedger, k: int) -> np.ndarray:
-    """Build phi_k = W_k z_k + zeta_k for the newest basis vector.
-
-    Must be called before project_w folds z_k away; k is the flat ledger
-    index (seeded vectors included) and only exists to catch misuse.
+    One matvec with W plus O(nk) work; the projected matrix is never formed.
     """
-    if k != len(ledger.basis) - 1:
-        raise ValueError(f"expected the newest index {len(ledger.basis) - 1}, got {k}")
-    if ledger.n_projected != k:
-        raise ValueError("projected matrix is out of step with the basis")
-    if len(ledger.phis) != k:
-        raise ValueError(f"phi_{k} was already synthesized")
-    z = ledger.basis[k]
-    n = z.shape[0]
-    Wz = ledger.projected @ z
-    q = float(z @ Wz)
-    g = substream(ledger.aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(n), size=k)
-    zeta = _DIAG_FIX * q * z
-    for i in range(k):
-        zeta = zeta + g[i] * ledger.basis[i]
-    phi = Wz + zeta
-    ledger.zetas.append(zeta)
-    ledger.phis.append(phi)
-    ledger.gs.append(g)
-    ledger.zwz.append(q)
-    return phi
-
-
-def record_iteration(
-    ledger: DecompositionLedger,
-    model: SpikedModel,
-    trajectory: AmpTrajectory,
-    t: int,
-) -> None:
-    """Decompose x_{t+1}; appends alpha_{t+1}, beta_t, xi_t and its norm."""
-    if t < 1 or t >= len(trajectory.iterates):
-        raise ValueError(f"trajectory holds no x_{t + 1}")
-    eta_t = trajectory.denoised[t - 1]
-    x_next = trajectory.iterates[t]
-    L = ledger.offset + t
-    if len(ledger.basis) < L or len(ledger.phis) < L:
-        raise ValueError(f"ledger has not been extended through iteration {t}")
-    U = np.stack(ledger.basis[:L], axis=1)
-    Phi = np.stack(ledger.phis[:L], axis=1)
-    beta = U.T @ eta_t
-    alpha_next = model.lam * float(model.v_star @ eta_t)
-    xi = x_next - alpha_next * model.v_star - Phi @ beta
-    leak = float(np.linalg.norm(xi - U @ (U.T @ xi)))
-    if leak > _SPAN_TOL:
-        raise LedgerInconsistencyError(
-            f"xi_{t} leaks {leak:.3e} outside the basis span (tolerance {_SPAN_TOL:g})"
-        )
-    ledger.alphas.append(alpha_next)
-    ledger.betas.append(beta)
-    ledger.xis.append(xi)
-    ledger.xi_norms.append(float(np.linalg.norm(xi)))
-    ledger.leaks.append(leak)
+    z = z - U @ (U.T @ z)
+    w = W @ z
+    return w - U @ (U.T @ w)
 
 
 def build_ledger(
@@ -189,18 +116,42 @@ def build_ledger(
     """
     if seed_basis_with_x1 is None:
         seed_basis_with_x1 = bool(np.any(trajectory.eta0_of_x0 != 0.0))
-    ledger = ledger_init(model, aux_seed)
-    if seed_basis_with_x1:
-        extend_basis(ledger, trajectory.iterates[0])
-        synthesize_phi(ledger, 0)
-        project_w(ledger)
-        ledger.offset = 1
+    ledger = DecompositionLedger(aux_seed=aux_seed, offset=int(seed_basis_with_x1))
+    n = model.n
     n_records = len(trajectory.iterates) - 1
-    for t in range(1, n_records + 1):
-        extend_basis(ledger, trajectory.denoised[t - 1])
-        synthesize_phi(ledger, ledger.offset + t - 1)
-        record_iteration(ledger, model, trajectory, t)
-        project_w(ledger)
+    directions = [trajectory.iterates[0]] if seed_basis_with_x1 else []
+    directions += trajectory.denoised[:n_records]
+    for k, direction in enumerate(directions):
+        z = _extend_basis(ledger, direction)
+        U = np.stack(ledger.basis, axis=1)
+        U_prev = U[:, :k]
+        # phi_k = W_k z_k + zeta_k, with W_k projecting out z_0..z_{k-1}
+        Wz = _apply_projected(model.noise, U_prev, z)
+        q = float(z @ Wz)
+        g = substream(aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(n), size=k)
+        ledger.phis.append(Wz + _DIAG_FIX * q * z + U_prev @ g)
+        ledger.gs.append(g)
+        ledger.zwz.append(q)
+
+        # decompose x_{t+1} over the first offset + t = k + 1 basis vectors
+        t = k + 1 - ledger.offset
+        if t < 1:
+            continue
+        eta_t = trajectory.denoised[t - 1]
+        beta = U.T @ eta_t
+        alpha_next = model.lam * float(model.v_star @ eta_t)
+        Phi = np.stack(ledger.phis, axis=1)
+        xi = trajectory.iterates[t] - alpha_next * model.v_star - Phi @ beta
+        leak = float(np.linalg.norm(xi - U @ (U.T @ xi)))
+        if leak > _SPAN_TOL:
+            raise LedgerInconsistencyError(
+                f"xi_{t} leaks {leak:.3e} outside the basis span (tolerance {_SPAN_TOL:g})"
+            )
+        ledger.alphas.append(alpha_next)
+        ledger.betas.append(beta)
+        ledger.xis.append(xi)
+        ledger.xi_norms.append(float(np.linalg.norm(xi)))
+        ledger.leaks.append(leak)
     return ledger
 
 

@@ -52,26 +52,42 @@ def fit_identity() -> DenoiserState:
     return DenoiserState(family="identity")
 
 
+def _inverse_norm(v: np.ndarray, fit: str) -> float:
+    """1 / ||v|| for a nonzero v, without letting the squares underflow.
+
+    v is scaled by the power of two nearest max|v| before squaring.  That
+    scaling is exact, so wherever the plain squares neither underflow nor
+    overflow the result equals 1 / np.linalg.norm(v) bit for bit.
+    """
+    _, e = np.frexp(np.max(np.abs(v)))
+    gamma = 1.0 / float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+    if not np.isfinite(gamma):
+        raise DegenerateIterateError(
+            f"{fit}: 1/norm overflows, iterate too small to normalize"
+        )
+    return gamma
+
+
 def fit_tanh(x_t: np.ndarray, n: int) -> DenoiserState:
     """Fit the tanh family on iterate x_t: pi = sqrt(n (||x_t||^2 - 1))."""
     sq = float(x_t @ x_t)
     pi = float(np.sqrt(n * max(sq - 1.0, EPS_CLAMP)))
-    norm = float(np.linalg.norm(np.tanh(pi * x_t)))
-    if norm == 0.0:
-        raise DegenerateIterateError("tanh fit: ||tanh(pi x_t)|| = 0")
-    return DenoiserState(family="tanh-z2", pi=pi, gamma=1.0 / norm)
+    th = np.tanh(pi * x_t)
+    if not np.any(th):
+        raise DegenerateIterateError("tanh fit: tanh(pi x_t) is identically 0")
+    return DenoiserState(family="tanh-z2", pi=pi, gamma=_inverse_norm(th, "tanh fit"))
 
 
 def fit_soft_threshold(x_t: np.ndarray, tau: float) -> DenoiserState:
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    norm = float(np.linalg.norm(soft_threshold(x_t, tau)))
-    if norm == 0.0:
+    if not np.any(np.abs(x_t) > tau):
         raise DegenerateIterateError(
             f"soft-threshold fit: no entry above tau={tau:g} "
             "(signal too weak or threshold too large)"
         )
-    return DenoiserState(family="soft-threshold", gamma=1.0 / norm, tau=tau)
+    gamma = _inverse_norm(soft_threshold(x_t, tau), "soft-threshold fit")
+    return DenoiserState(family="soft-threshold", gamma=gamma, tau=tau)
 
 
 def default_tau(n: int, c_tau: float = 2.0) -> float:
@@ -106,5 +122,6 @@ def derivative_avg(state: DenoiserState, x: np.ndarray) -> float:
         th = np.tanh(state.pi * x)
         return float(np.mean(state.gamma * state.pi * (1.0 - th * th)))
     if state.family == "soft-threshold":
-        return float(state.gamma * np.count_nonzero(np.abs(x) > state.tau) / n)
+        # the fraction first: gamma * (count / n) cannot round above gamma
+        return float(state.gamma * (np.count_nonzero(np.abs(x) > state.tau) / n))
     raise ValueError(f"unknown denoiser family {state.family!r}")

@@ -11,7 +11,8 @@ Determinism contract: every trial derives its own seed from (config.seed,
 trial index), so results are byte-identical regardless of worker count or
 scheduling.  Trials run on a process pool sized by SPIKED_AMP_WORKERS
 (default: logical cores); a crashing trial contributes a single row with
-metric_name "error_code" instead of poisoning the batch.
+metric_name "error_code" instead of poisoning the batch.  The exception is
+decomp.LedgerInconsistencyError, a bookkeeping bug, which propagates.
 
 TrialRecord metric vocabulary (closed):
   alpha           signal coefficient; Z2 rows carry alpha_t of x_t, sparse
@@ -247,6 +248,11 @@ def _validate(config: ExperimentConfig) -> None:
         _require(config, n=2, T=2)
         if config.lam <= 1.0:
             raise ConfigError("DecompAudit needs lambda > 1 (spectral regime)")
+        if config.n < config.T:
+            raise ConfigError(
+                f"DecompAudit needs n >= T: the spectral ledger holds T orthonormal "
+                f"vectors in R^n, got n={config.n}, T={config.T}"
+            )
     elif exp == "SpectralCorrelation":
         _require(config, n=2)
         if config.lam <= 1.0:
@@ -427,10 +433,13 @@ _TRIAL_FNS = {
 
 def _run_one(packed):
     # Crash isolation: a failed trial yields a single error_code row and the
-    # rest of the batch proceeds.
+    # rest of the batch proceeds.  A ledger inconsistency is a bookkeeping
+    # bug, not an outcome, so it propagates.
     fn_name, config, tid = packed
     try:
         return _TRIAL_FNS[fn_name]((config, tid))
+    except decomp.LedgerInconsistencyError:
+        raise
     except Exception:
         return [TrialRecord(tid, 0, "error_code", 1.0)]
 

@@ -126,6 +126,12 @@ def test_spectral_rejects_bad_s():
         sa.spectral_init(np.eye(4), 0, 1)
 
 
+def test_spectral_rejects_vanishing_power_step():
+    # M y = 0 would take log(0); it is a named failure instead
+    with pytest.raises(ValueError, match="power step 1"):
+        sa.spectral_init(np.zeros((4, 4)), 3, 1)
+
+
 def test_sign_align():
     v = np.array([1.0, 0.0])
     assert amp.sign_align(np.array([-2.0, 1.0]), v)[0] == 2.0

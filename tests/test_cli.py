@@ -108,6 +108,14 @@ def test_decomp_audit_csv_schema(tmp_path, capsys):
     assert lines[0].startswith("trial_id,t,alpha,beta_norm,xi_norm")
 
 
+def test_decomp_audit_needs_n_at_least_T(capsys):
+    # the spectral ledger holds T orthonormal vectors in R^n
+    args = ["decomp-audit", "--T", "10", "--trials", "1"]
+    assert cli.main(args + ["--n", "6"]) == 2
+    assert "[config]" in capsys.readouterr().err
+    assert cli.main(args + ["--n", "10"]) == 0
+
+
 def test_spectral_subcommand(tmp_path):
     out = tmp_path / "spec.csv"
     code = cli.main(["spectral", "--n", "150", "--trials", "2", "--out", str(out)])

@@ -21,6 +21,13 @@ from spiked_amp import decomp, denoise
 
 SQ2H = np.sqrt(2.0) / 2.0 - 1.0
 
+_apply_projected = decomp._apply_projected
+
+
+def _leaky_projection(W, U, z):
+    # adds a direction outside every basis span to each phi_k
+    return _apply_projected(W, U, z) + 0.05 * np.ones(W.shape[0])
+
 
 def _coordinate_identity_err(ledger, traj, t):
     """Worst |xi_t . z_j - predicted| over ledger entries j, from scratch."""
@@ -58,71 +65,50 @@ def test_extend_basis_orthonormal(z2_run):
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
 
 
-def test_extend_basis_degenerate_error(z2_run):
-    model, _, ledger = z2_run
-    probe = decomp.ledger_init(model, aux_seed=0)
-    z = decomp.extend_basis(probe, np.ones(model.n))
+def test_extend_basis_degenerate_error():
+    # A spectral run needs T orthonormal vectors in R^n; at n = 6, T = 10
+    # the seventh Gram-Schmidt residual is numerically zero.
+    n, lam, T, seed = 6, 1.5, 10, 1
+    v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=seed))
+    model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
+    init = sa.spectral_init(model.observed, 2, seed)
+    traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
+    assert traj.failure is None
     with pytest.raises(decomp.BasisDegenerateError):
-        decomp.extend_basis(probe, 3.0 * z)
+        decomp.build_ledger(model, traj, aux_seed=0)
 
 
-def test_project_w_annihilates_folded_directions(z2_run):
-    _, _, ledger = z2_run
+def test_projected_operator_annihilates_folded_directions(z2_run):
+    model, _, ledger = z2_run
+    U = np.stack(ledger.basis, axis=1)
     for z in ledger.basis:
-        assert np.linalg.norm(ledger.projected @ z) < 1e-12
-
-
-def test_project_w_requires_pending_vector(z2_run):
-    model = z2_run[0]
-    probe = decomp.ledger_init(model, aux_seed=0)
-    with pytest.raises(ValueError):
-        decomp.project_w(probe)
+        assert np.linalg.norm(decomp._apply_projected(model.noise, U, z)) < 1e-12
 
 
 def test_projection_with_basis_vector_e1():
     # z_1 = e_1 makes the projected matrix's first row and column vanish.
     W = sa.sample_wigner(12, 1)
-    model = sa.make_spiked(1.5, sa.make_signal(sa.SignalSpec(kind="z2", n=12, seed=1)), W)
-    ledger = decomp.ledger_init(model, aux_seed=5)
-    e1 = np.zeros(12)
-    e1[0] = 1.0
-    decomp.extend_basis(ledger, e1)
-    decomp.synthesize_phi(ledger, 0)
-    decomp.project_w(ledger)
-    assert np.max(np.abs(ledger.projected[0, :])) < 1e-14
-    assert np.max(np.abs(ledger.projected[:, 0])) < 1e-14
-
-
-def test_synthesize_phi_guards(z2_run):
-    model = z2_run[0]
-    probe = decomp.ledger_init(model, aux_seed=0)
-    decomp.extend_basis(probe, np.ones(model.n))
-    with pytest.raises(ValueError):
-        decomp.synthesize_phi(probe, 1)  # wrong index
-    decomp.synthesize_phi(probe, 0)
-    decomp.project_w(probe)
-    decomp.extend_basis(probe, np.arange(float(model.n)))
-    decomp.synthesize_phi(probe, 1)
-    with pytest.raises(ValueError):
-        decomp.synthesize_phi(probe, 1)  # projection now out of step
+    U = np.eye(12)[:, :1]
+    W1 = np.column_stack([decomp._apply_projected(W, U, e) for e in np.eye(12)])
+    assert np.max(np.abs(W1[0, :])) < 1e-14
+    assert np.max(np.abs(W1[:, 0])) < 1e-14
 
 
 def test_phi_recomputes_from_parts(z2_run):
-    # phi_k = W_k z_k + zeta_k with zeta from the stored q and g values;
-    # rebuilding W_k takes replaying the projections, so check k = offset
-    # (the first loop entry) whose W_k is one projection away from W.
-    model, traj, ledger = z2_run
-    k = ledger.offset
-    z0 = ledger.basis[0]
-    W1 = model.noise.copy()
-    w = W1 @ z0
-    q0 = float(z0 @ w)
-    W1 -= np.outer(z0, w) + np.outer(w, z0) - q0 * np.outer(z0, z0)
-    z = ledger.basis[k]
-    want = W1 @ z + SQ2H * ledger.zwz[k] * z
-    for i in range(k):
-        want = want + ledger.gs[k][i] * ledger.basis[i]
-    np.testing.assert_allclose(ledger.phis[k], want, atol=1e-12)
+    # phi_k = W_k z_k + zeta_k for every k, against a dense
+    # W_k = (I - U U^T) W (I - U U^T) with U = [z_0 .. z_{k-1}], and zeta_k
+    # from the stored q and g values.
+    model, _, ledger = z2_run
+    n = model.n
+    for k, z in enumerate(ledger.basis):
+        U = np.stack(ledger.basis[:k], axis=1) if k else np.zeros((n, 0))
+        P = np.eye(n) - U @ U.T
+        Wz = P @ model.noise @ P @ z
+        assert abs(ledger.zwz[k] - float(z @ Wz)) < 1e-12
+        want = Wz + SQ2H * ledger.zwz[k] * z
+        for i in range(k):
+            want = want + ledger.gs[k][i] * ledger.basis[i]
+        np.testing.assert_allclose(ledger.phis[k], want, atol=1e-12)
 
 
 def test_aux_stream_reproducible(z2_run):
@@ -174,7 +160,8 @@ def test_offsets_by_pipeline(z2_run, sparse_run):
 def test_base_case_xi1_plain(sparse_run):
     # eta_0 = 0 run: xi_1 = -beta_1^1 zeta_1 with nothing else left over.
     _, _, ledger = sparse_run
-    want = -ledger.betas[0][0] * ledger.zetas[0]
+    zeta0 = SQ2H * ledger.zwz[0] * ledger.basis[0]
+    want = -ledger.betas[0][0] * zeta0
     assert np.linalg.norm(ledger.xis[0] - want) < 1e-12
 
 
@@ -196,26 +183,12 @@ def test_coordinate_identity_plain(sparse_run):
     assert worst < 1e-12
 
 
-def test_record_rejects_missing_state(z2_run):
+def test_inconsistency_detected(z2_run, monkeypatch):
+    # Corrupting the synthesized phis breaks span containment and must raise.
     model, traj, _ = z2_run
-    fresh = decomp.ledger_init(model, aux_seed=1)
-    with pytest.raises(ValueError):
-        decomp.record_iteration(fresh, model, traj, 1)
-
-
-def test_inconsistency_detected(z2_run):
-    # Corrupting a stored phi breaks span containment and must raise.
-    model, traj, _ = z2_run
-    ledger = decomp.ledger_init(model, aux_seed=1)
-    decomp.extend_basis(ledger, traj.iterates[0])
-    decomp.synthesize_phi(ledger, 0)
-    decomp.project_w(ledger)
-    ledger.offset = 1
-    decomp.extend_basis(ledger, traj.denoised[0])
-    decomp.synthesize_phi(ledger, 1)
-    ledger.phis[1] = ledger.phis[1] + 0.05 * np.ones(model.n)
+    monkeypatch.setattr(decomp, "_apply_projected", _leaky_projection)
     with pytest.raises(decomp.LedgerInconsistencyError):
-        decomp.record_iteration(ledger, model, traj, 1)
+        decomp.build_ledger(model, traj, aux_seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +230,7 @@ def test_residual_diagnostics_consistency(z2_run):
 
 def test_norm_identity_regrouped(z2_run, sparse_run):
     # ||xi_t|| equals the regrouped sum of its driving terms, exactly.
-    # This exercises every stored object at once: phis, zetas via zwz,
+    # This exercises every stored object at once: phis, zeta_k via zwz,
     # auxiliary g's, betas at two times, the Onsager split and Delta_t.
     for model, traj, ledger in (z2_run, sparse_run):
         for t in range(2, len(ledger.xis) + 1):
@@ -347,13 +320,15 @@ def test_gaussianity_report_prefix(z2_run):
     assert len(rep_t.phi_coord_w1) == upto
 
 
-def test_gaussianity_report_needs_two(z2_run):
-    model = z2_run[0]
-    probe = decomp.ledger_init(model, aux_seed=0)
-    decomp.extend_basis(probe, np.ones(model.n))
-    decomp.synthesize_phi(probe, 0)
+def test_gaussianity_report_needs_two(sparse_run):
+    # a T = 2 run with eta_0 = 0 leaves a ledger with a single phi
+    model, traj, _ = sparse_run
+    short = sa.run_amp(model, "soft-threshold", traj.iterates[0], traj.eta0_of_x0,
+                       2, tau=traj.states[0].tau)
+    ledger = decomp.build_ledger(model, short, aux_seed=0)
+    assert len(ledger.phis) == 1
     with pytest.raises(ValueError):
-        decomp.gaussianity_report(probe)
+        decomp.gaussianity_report(ledger)
 
 
 def test_build_ledger_explicit_seed_flag(z2_run):

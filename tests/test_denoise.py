@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -33,6 +33,21 @@ def test_tanh_fit_clamps_subunit_norm():
 def test_tanh_fit_zero_vector_degenerate():
     with pytest.raises(denoise.DegenerateIterateError):
         denoise.fit_tanh(np.zeros(5), n=5)
+
+
+def test_fits_normalize_tiny_iterates():
+    # the squares of these entries underflow; the fitted map must still
+    # normalize instead of calling the iterate degenerate
+    x = np.full(4, 1e-200)
+    for state in (denoise.fit_tanh(x, n=4), denoise.fit_soft_threshold(x, 0.0)):
+        assert abs(np.linalg.norm(denoise.apply(state, x)) - 1.0) < 1e-12
+
+
+def test_fits_reject_unnormalizable_iterate():
+    # 1/||x|| is beyond the float range: a named failure, not gamma = inf
+    x = np.full(2, 5e-324)
+    with pytest.raises(denoise.DegenerateIterateError, match="too small"):
+        denoise.fit_soft_threshold(x, 0.0)
 
 
 def test_tanh_derivative_matches_finite_difference():
@@ -115,6 +130,8 @@ def test_default_tau_formula():
     ),
     tau=st.floats(0.0, 2.0),
 )
+@example(x=np.array([2.23e-286, 2.23e-286]), tau=0.0)
+@example(x=np.array([9.63e-247, 9.63e-247]), tau=0.0)
 def test_soft_threshold_fit_property(x, tau):
     try:
         state = denoise.fit_soft_threshold(x, tau)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from spiked_amp import harness, se
+from spiked_amp import decomp, harness, se
 from spiked_amp.harness import (
     ConfigError,
     DecompRow,
@@ -150,6 +150,22 @@ def test_crash_isolation(monkeypatch):
     assert crashed == [TrialRecord(1, 0, "error_code", 1.0)]
     healthy = {r.trial_id for r in rows if r.metric_name != "error_code"}
     assert healthy == {0, 2}
+
+
+def test_ledger_inconsistency_propagates(monkeypatch):
+    # a bookkeeping bug must surface, not become an error_code row
+    apply_projected = decomp._apply_projected
+
+    def leaky(W, U, z):
+        return apply_projected(W, U, z) + 0.05 * np.ones(W.shape[0])
+
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    monkeypatch.setattr(decomp, "_apply_projected", leaky)
+    config = build_config(
+        {"experiment": "DecompAudit", "n": 100, "lambda": 1.5, "T": 3, "trials": 2}
+    )
+    with pytest.raises(decomp.LedgerInconsistencyError):
+        run_experiment(config)
 
 
 def test_run_experiment_rejects_scans():
