@@ -44,13 +44,13 @@ def main() -> int:
         if r.skipped:
             print(f"[round {j}] skipped ({' -> '.join(r.events) or 'empty block'})")
             continue
-        v_c = v[np.array(r.complement)]
+        v_c = v[r.complement]
         overlap = abs(float(r.x_j @ v_c)) / np.linalg.norm(v_c)
         print(f"[round {j}] |I|={len(r.index_set)} score={r.score:+.4f} "
               f"overlap={overlap:.3f}  events: {' -> '.join(r.events)}")
 
     best, x_j = sa.sample_split_init(model, p, N, tau1, args.seed)
-    v_c = v[np.array(best.complement)]
+    v_c = v[best.complement]
     overlap = abs(float(x_j @ v_c)) / np.linalg.norm(v_c)
     print(f"[winner] score={best.score:+.4f} overlap={overlap:.3f} on a "
           f"{len(best.complement)}-coordinate complement block")

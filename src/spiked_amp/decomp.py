@@ -4,9 +4,9 @@ Alongside a trajectory x_1..x_T this module maintains:
 
 * an orthonormal basis z_k grown by Gram-Schmidt from the denoised iterates,
 * synthesized Gaussians phi_k = W_k z_k + zeta_k, where W_k = P_k W P_k is
-  the noise with the used directions projected out (P_k = I - U_k U_k^T,
-  U_k = [z_0 .. z_{k-1}]) and zeta_k an augmentation vector; W_k is only
-  ever applied to z_k (one matvec plus O(nk) work), never stored,
+  the noise W = M - lam v* v*^T with the used directions projected out
+  (P_k = I - U_k U_k^T, U_k = [z_0 .. z_{k-1}]) and zeta_k an augmentation
+  vector; W_k z_k is one matvec with the model's M plus O(nk), never stored,
 * and per-iteration coefficients so that
 
       x_{t+1} = alpha_{t+1} v* + sum_k beta_t^k phi_k + xi_t
@@ -92,13 +92,13 @@ def _extend_basis(ledger: DecompositionLedger, eta_xt: np.ndarray) -> np.ndarray
     return z
 
 
-def _apply_projected(W: np.ndarray, U: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W_k z = P W P z with P = I - U U^T for orthonormal columns U.
+def _apply_projected(model: SpikedModel, U: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W_k z = P W P z with P = I - U U^T (orthonormal U), W z = M z - lam v* (v* . z).
 
-    One matvec with W plus O(nk) work; the projected matrix is never formed.
+    One matvec with M plus O(nk) work; neither W nor P W P is formed.
     """
     z = z - U @ (U.T @ z)
-    w = W @ z
+    w = model.observed @ z - model.lam * float(model.v_star @ z) * model.v_star
     return w - U @ (U.T @ w)
 
 
@@ -126,7 +126,7 @@ def build_ledger(
         U = np.stack(ledger.basis, axis=1)
         U_prev = U[:, :k]
         # phi_k = W_k z_k + zeta_k, with W_k projecting out z_0..z_{k-1}
-        Wz = _apply_projected(model.noise, U_prev, z)
+        Wz = _apply_projected(model, U_prev, z)
         q = float(z @ Wz)
         g = substream(aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(n), size=k)
         ledger.phis.append(Wz + _DIAG_FIX * q * z + U_prev @ g)

@@ -45,7 +45,7 @@ from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import default_power_steps, run_amp, spectral_init
 from .denoise import default_tau, soft_threshold
-from .model import SignalSpec, make_signal, make_spiked, sample_wigner
+from .model import SignalSpec, SpikedModel, make_signal, make_spiked, sample_wigner
 
 __all__ = [
     "ConfigError",
@@ -311,8 +311,7 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     tseed = derive_seed(config.seed, "trial", tid)
     n, k, lam = config.n, config.k, config.lam
     v = make_signal(SignalSpec(kind="sparse-dirac", n=n, k=k, seed=tseed))
-    W = sample_wigner(n, tseed)
-    model = make_spiked(lam, v, W)
+    model = make_spiked(lam, v, sample_wigner(n, tseed))
     c_tau = config.c_tau if config.c_tau is not None else 2.0
     # Threshold scale follows the noise variance 1/n of the full matrix,
     # also when AMP runs on a sample-split complement block.
@@ -326,11 +325,12 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         if config.N_rounds is not None:
             N = config.N_rounds
         chosen, x1 = sparse_init.sample_split_init(model, p, N, tau1, tseed)
-        Ic = np.array(chosen.complement, dtype=np.intp)
+        Ic = chosen.complement
         v_c = v[Ic]
         nv = float(np.linalg.norm(v_c))
         lam_eff = lam * nv * nv
-        run_model = make_spiked(lam_eff, v_c / nv, W[np.ix_(Ic, Ic)])
+        # M_cc = lam_eff u u^T + W_cc with u = v_c / ||v_c||
+        run_model = SpikedModel(Ic.size, lam_eff, v_c / nv, model.observed[np.ix_(Ic, Ic)])
         eta0 = np.zeros(Ic.size)
         alpha_start = abs(float(run_model.v_star @ x1))
         rows.append(TrialRecord(tid, 0, "score", chosen.score))

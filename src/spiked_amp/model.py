@@ -20,7 +20,6 @@ _SIGNAL_KINDS = ("z2", "sparse-dirac", "sparse-gaussian", "custom")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
 
@@ -60,12 +59,11 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class SpikedModel:
-    """One observed instance.  `lam` is the SNR (lambda is reserved in Python)."""
+    """Observed M = lam v* v*^T + W, stored alone; `lam` is the SNR (lambda is reserved)."""
 
     n: int
     lam: float
     v_star: np.ndarray
-    noise: np.ndarray
     observed: np.ndarray
     sparsity: int | None = None
 
@@ -118,8 +116,8 @@ def make_signal(spec: SignalSpec) -> np.ndarray:
 
 
 def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
-    """Assemble observed = lam * v v^T + noise and wrap it with its parts."""
-    v_star = np.asarray(v_star, dtype=np.float64)
+    """Assemble observed = lam * v v^T + noise; neither input is kept or frozen."""
+    v_star = np.array(v_star, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = v_star.shape[0]
     if v_star.ndim != 1:
@@ -135,7 +133,6 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
         n=n,
         lam=float(lam),
         v_star=_freeze(v_star),
-        noise=_freeze(noise),
         observed=_freeze(observed),
         sparsity=sparsity if sparsity < n else None,
     )

@@ -103,8 +103,8 @@ def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
 
 @dataclass(frozen=True)
 class SplitRound:
-    index_set: tuple[int, ...]
-    complement: tuple[int, ...]
+    index_set: np.ndarray  # sorted np.intp indices
+    complement: np.ndarray
     v_sub: np.ndarray | None
     v_j: np.ndarray | None
     x_j: np.ndarray | None
@@ -164,8 +164,7 @@ def sample_split_rounds(
         if I.size == 0 or Ic.size == 0:
             rounds.append(
                 SplitRound(
-                    index_set=tuple(int(i) for i in I),
-                    complement=tuple(int(i) for i in Ic),
+                    index_set=I, complement=Ic,
                     v_sub=None, v_j=None, x_j=None,
                     score=float("-inf"), skipped=True,
                     degenerate_oracle=False, events=tuple(log),
@@ -181,8 +180,7 @@ def sample_split_rounds(
         if nrm == 0.0:
             rounds.append(
                 SplitRound(
-                    index_set=tuple(int(i) for i in I),
-                    complement=tuple(int(i) for i in Ic),
+                    index_set=I, complement=Ic,
                     v_sub=est.vector, v_j=v_j, x_j=None,
                     score=float("-inf"), skipped=True,
                     degenerate_oracle=est.degenerate, events=tuple(log),
@@ -194,8 +192,7 @@ def sample_split_rounds(
         score = float(x_j @ _read_block(M, Ic, Ic, log, "read:score_IcIc") @ x_j)
         rounds.append(
             SplitRound(
-                index_set=tuple(int(i) for i in I),
-                complement=tuple(int(i) for i in Ic),
+                index_set=I, complement=Ic,
                 v_sub=est.vector, v_j=v_j, x_j=x_j,
                 score=score, skipped=False,
                 degenerate_oracle=est.degenerate, events=tuple(log),

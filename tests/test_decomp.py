@@ -24,9 +24,9 @@ SQ2H = np.sqrt(2.0) / 2.0 - 1.0
 _apply_projected = decomp._apply_projected
 
 
-def _leaky_projection(W, U, z):
+def _leaky_projection(model, U, z):
     # adds a direction outside every basis span to each phi_k
-    return _apply_projected(W, U, z) + 0.05 * np.ones(W.shape[0])
+    return _apply_projected(model, U, z) + 0.05 * np.ones(model.n)
 
 
 def _coordinate_identity_err(ledger, traj, t):
@@ -82,14 +82,15 @@ def test_projected_operator_annihilates_folded_directions(z2_run):
     model, _, ledger = z2_run
     U = np.stack(ledger.basis, axis=1)
     for z in ledger.basis:
-        assert np.linalg.norm(decomp._apply_projected(model.noise, U, z)) < 1e-12
+        assert np.linalg.norm(decomp._apply_projected(model, U, z)) < 1e-12
 
 
 def test_projection_with_basis_vector_e1():
     # z_1 = e_1 makes the projected matrix's first row and column vanish.
-    W = sa.sample_wigner(12, 1)
+    v = sa.make_signal(sa.SignalSpec(kind="z2", n=12, seed=1))
+    model = sa.make_spiked(1.5, v, sa.sample_wigner(12, 1))
     U = np.eye(12)[:, :1]
-    W1 = np.column_stack([decomp._apply_projected(W, U, e) for e in np.eye(12)])
+    W1 = np.column_stack([decomp._apply_projected(model, U, e) for e in np.eye(12)])
     assert np.max(np.abs(W1[0, :])) < 1e-14
     assert np.max(np.abs(W1[:, 0])) < 1e-14
 
@@ -97,13 +98,15 @@ def test_projection_with_basis_vector_e1():
 def test_phi_recomputes_from_parts(z2_run):
     # phi_k = W_k z_k + zeta_k for every k, against a dense
     # W_k = (I - U U^T) W (I - U U^T) with U = [z_0 .. z_{k-1}], and zeta_k
-    # from the stored q and g values.
+    # from the stored q and g values.  W is resampled with the fixture's seed.
     model, _, ledger = z2_run
     n = model.n
+    W = sa.sample_wigner(n, 7)
+    np.testing.assert_array_equal(model.observed, model.lam * np.outer(model.v_star, model.v_star) + W)
     for k, z in enumerate(ledger.basis):
         U = np.stack(ledger.basis[:k], axis=1) if k else np.zeros((n, 0))
         P = np.eye(n) - U @ U.T
-        Wz = P @ model.noise @ P @ z
+        Wz = P @ W @ P @ z
         assert abs(ledger.zwz[k] - float(z @ Wz)) < 1e-12
         want = Wz + SQ2H * ledger.zwz[k] * z
         for i in range(k):

@@ -156,8 +156,8 @@ def test_ledger_inconsistency_propagates(monkeypatch):
     # a bookkeeping bug must surface, not become an error_code row
     apply_projected = decomp._apply_projected
 
-    def leaky(W, U, z):
-        return apply_projected(W, U, z) + 0.05 * np.ones(W.shape[0])
+    def leaky(model, U, z):
+        return apply_projected(model, U, z) + 0.05 * np.ones(model.n)
 
     monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
     monkeypatch.setattr(decomp, "_apply_projected", leaky)

@@ -126,6 +126,13 @@ def test_make_spiked_rejects_nonunit():
         sa.make_spiked(1.0, np.ones(10), np.zeros((10, 10)))
 
 
+def test_make_spiked_leaves_inputs_writeable():
+    v = sa.make_signal(SignalSpec(kind="z2", n=10, seed=1))
+    W = sa.sample_wigner(10, 1)
+    sa.make_spiked(1.5, v, W)
+    assert v.flags.writeable and W.flags.writeable
+
+
 def test_model_arrays_read_only():
     v = sa.make_signal(SignalSpec(kind="z2", n=10, seed=1))
     m = sa.make_spiked(1.5, v, sa.sample_wigner(10, 1))

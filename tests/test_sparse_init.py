@@ -118,8 +118,8 @@ def test_rounds_partition_and_normalization(split_model):
     rounds = sparse_init.sample_split_rounds(split_model, p=0.3, N=8, tau1=0.2, seed=5)
     assert len(rounds) == 8
     for r in rounds:
-        merged = sorted(r.index_set + r.complement)
-        assert merged == list(range(n))
+        merged = np.sort(np.concatenate([r.index_set, r.complement]))
+        assert np.array_equal(merged, np.arange(n))
         assert not set(r.index_set) & set(r.complement)
         if not r.skipped:
             assert np.linalg.norm(r.x_j) == pytest.approx(1.0, abs=1e-10)
@@ -170,7 +170,7 @@ def test_rounds_deterministic(split_model):
     a = sparse_init.sample_split_rounds(split_model, p=0.3, N=5, tau1=0.2, seed=9)
     b = sparse_init.sample_split_rounds(split_model, p=0.3, N=5, tau1=0.2, seed=9)
     for ra, rb in zip(a, b):
-        assert ra.index_set == rb.index_set
+        assert np.array_equal(ra.index_set, rb.index_set)
         assert ra.score == rb.score
         if not ra.skipped:
             np.testing.assert_array_equal(ra.x_j, rb.x_j)
