@@ -46,7 +46,6 @@ from .harness import (
     build_config,
     emit_csv,
     load_config,
-    run_decomp_rows,
     run_experiment,
     run_scan,
 )

@@ -110,19 +110,18 @@ def main(argv: list[str] | None = None) -> int:
             n_fail = sum(1 for r in rows if not r.pass_)
             print(f"[scan] rows={len(rows)} failing={n_fail}")
             row_type: type = harness.ScanRow
-        elif config.experiment == "DecompAudit":
-            rows = harness.run_decomp_rows(config)
-            print(f"[audit] rows={len(rows)}")
-            row_type = harness.DecompRow
         else:
-            records = harness.run_experiment(config)
-            for s in harness.aggregate(records):
-                print(
-                    f"[summary] t={s.t} {s.metric_name}: median={s.median:.6g} "
-                    f"mean={s.mean:.6g} q10={s.q10:.6g} q90={s.q90:.6g}"
-                )
-            rows = records
-            row_type = harness.TrialRecord
+            rows = harness.run_experiment(config)
+            if config.experiment == "DecompAudit":
+                print(f"[audit] rows={len(rows)}")
+                row_type = harness.DecompRow
+            else:
+                for s in harness.aggregate(rows):
+                    print(
+                        f"[summary] t={s.t} {s.metric_name}: median={s.median:.6g} "
+                        f"mean={s.mean:.6g} q10={s.q10:.6g} q90={s.q90:.6g}"
+                    )
+                row_type = harness.TrialRecord
         if config.output_path:
             harness.emit_csv(rows, config.output_path, row_type=row_type)
             print(f"[done] wrote {len(rows)} rows to {config.output_path}")

@@ -162,7 +162,6 @@ def build_ledger(
 @dataclass(frozen=True)
 class GaussianityReport:
     max_phi_corr: float
-    phi_coord_w1: tuple[float, ...]
     w1_mixed: float
 
 
@@ -200,7 +199,6 @@ def gaussianity_report(
     n = Phi.shape[0]
     gram = Phi.T @ Phi
     off = gram[~np.eye(gram.shape[0], dtype=bool)]
-    w1s = tuple(coordinate_w1(Phi[:, j], 1.0 / n) for j in range(Phi.shape[1]))
     if beta is not None:
         mixed = Phi[:, : beta.shape[0]] @ beta / np.linalg.norm(beta)
         w1_mixed = coordinate_w1(mixed, 1.0 / n)
@@ -208,7 +206,6 @@ def gaussianity_report(
         w1_mixed = float("nan")
     return GaussianityReport(
         max_phi_corr=float(np.max(np.abs(off))),
-        phi_coord_w1=w1s,
         w1_mixed=w1_mixed,
     )
 

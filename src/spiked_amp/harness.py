@@ -1,18 +1,20 @@
 """Experiment orchestration: config, Monte Carlo trials, CSV emission.
 
-An ExperimentConfig names one of six experiments; run_experiment executes the
-trial-based ones (Z2Pipeline, SparsePipeline, SpectralCorrelation,
-DecompAudit) and returns flat TrialRecord rows, while the two grid scans
-(SeScan, KappaScan) go through run_scan and return ScanRow rows with the
-bound and pass flag attached.  DecompAudit additionally exposes the full
-per-iteration ledger summary through run_decomp_rows.
+An ExperimentConfig names one of six experiments.  run_experiment executes
+the trial-based ones: Z2Pipeline, SparsePipeline and SpectralCorrelation give
+flat TrialRecord rows, DecompAudit gives one DecompRow per trial and ledger
+entry.  The two grid scans (SeScan, KappaScan) go through run_scan and return
+ScanRow rows with the bound and pass flag attached.
 
 Determinism contract: every trial derives its own seed from (config.seed,
 trial index), so results are byte-identical regardless of worker count or
 scheduling.  Trials run on a process pool sized by SPIKED_AMP_WORKERS
-(default: logical cores); a crashing trial contributes a single row with
-metric_name "error_code" instead of poisoning the batch.  The exception is
-decomp.LedgerInconsistencyError, a bookkeeping bug, which propagates.
+(default: logical cores).  A trial that ends in a statistical failure
+(BasisDegenerateError, InitializationFailureError, DegenerateIterateError)
+contributes a single row at t = 0 instead of poisoning the batch: the
+TrialRecord (tid, 0, "error_code", 1.0), or for DecompAudit a DecompRow whose
+values are all NaN.  Every other exception, LedgerInconsistencyError
+included, propagates.
 
 TrialRecord metric vocabulary (closed):
   alpha           signal coefficient; Z2 rows carry alpha_t of x_t, sparse
@@ -20,12 +22,9 @@ TrialRecord metric vocabulary (closed):
                   next iterate
   alpha_sq        alpha squared (Z2 rows, for SE comparison)
   tau_t           the SE reference for the same row's alpha/alpha_sq value
-  xi_norm         decomposition residual norm at t
   l2_err          || (1/lam) ST_tau(x_T) - v* ||_2, final iterate only
   overlap         |<v*, x_t>| / ||x_t||
   score           sample-split winner's complement-block quadratic form
-  w1_mixed        W1 distance of the mixed Gaussian component's coordinates
-  max_phi_corr    largest off-diagonal |<phi_j, phi_k>| so far
   lambda_max      top-eigenvalue estimate from the power method
   eig_overlap_sq  squared correlation of the top eigenvector with v*
 plus "error_code" for failed trials.
@@ -44,7 +43,7 @@ import numpy as np
 from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import default_power_steps, run_amp, spectral_init
-from .denoise import default_tau, soft_threshold
+from .denoise import DegenerateIterateError, default_tau, soft_threshold
 from .model import SignalSpec, SpikedModel, make_signal, make_spiked, sample_wigner
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "build_config",
     "emit_csv",
     "load_config",
-    "run_decomp_rows",
     "run_experiment",
     "run_scan",
     "worker_count",
@@ -79,12 +77,9 @@ METRICS = frozenset(
         "alpha",
         "alpha_sq",
         "tau_t",
-        "xi_norm",
         "l2_err",
         "overlap",
         "score",
-        "w1_mixed",
-        "max_phi_corr",
         "lambda_max",
         "eig_overlap_sq",
         "error_code",
@@ -174,7 +169,6 @@ _JSON_KEYS = {
 
 _FIELD_FOR_KEY = {"lambda": "lam"}
 
-_TRIAL_EXPERIMENTS = ("Z2Pipeline", "SparsePipeline", "DecompAudit", "SpectralCorrelation")
 _SCAN_EXPERIMENTS = ("SeScan", "KappaScan")
 
 
@@ -390,7 +384,7 @@ def _trial_decomp(args: tuple[ExperimentConfig, int]) -> list[DecompRow]:
     x1 = config.lam * init.x1
     traj = run_amp(model, "tanh-z2", x1, init.x1, config.T)
     if traj.failure is not None:
-        raise RuntimeError(f"AMP degenerated at t={traj.failure[0]}: {traj.failure[1]}")
+        raise DegenerateIterateError(f"AMP degenerated at t={traj.failure[0]}: {traj.failure[1]}")
     ledger = decomp.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))
     rows: list[DecompRow] = []
     for t in range(1, len(ledger.xis) + 1):
@@ -412,35 +406,30 @@ def _trial_decomp(args: tuple[ExperimentConfig, int]) -> list[DecompRow]:
     return rows
 
 
-def _trial_decomp_records(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
-    rows = _trial_decomp(args)
-    records: list[TrialRecord] = []
-    for r in rows:
-        records.append(TrialRecord(r.trial_id, r.t, "alpha", r.alpha))
-        records.append(TrialRecord(r.trial_id, r.t, "xi_norm", r.xi_norm))
-        records.append(TrialRecord(r.trial_id, r.t, "max_phi_corr", r.max_phi_corr))
-        records.append(TrialRecord(r.trial_id, r.t, "w1_mixed", r.w1_mixed))
-    return records
-
-
 _TRIAL_FNS = {
     "Z2Pipeline": _trial_z2,
     "SparsePipeline": _trial_sparse,
     "SpectralCorrelation": _trial_spectral,
-    "DecompAudit": _trial_decomp_records,
+    "DecompAudit": _trial_decomp,
 }
 
+# Statistical outcomes a trial may end in; anything else is a bug and propagates.
+_ISOLATED = (
+    decomp.BasisDegenerateError,
+    sparse_init.InitializationFailureError,
+    DegenerateIterateError,
+)
 
-def _run_one(packed):
-    # Crash isolation: a failed trial yields a single error_code row and the
-    # rest of the batch proceeds.  A ledger inconsistency is a bookkeeping
-    # bug, not an outcome, so it propagates.
-    fn_name, config, tid = packed
+
+def _run_one(args: tuple[ExperimentConfig, int]) -> list:
+    # Crash isolation: a failed trial yields a single row at t = 0 and the
+    # rest of the batch proceeds.
+    config, tid = args
     try:
-        return _TRIAL_FNS[fn_name]((config, tid))
-    except decomp.LedgerInconsistencyError:
-        raise
-    except Exception:
+        return _TRIAL_FNS[config.experiment](args)
+    except _ISOLATED:
+        if config.experiment == "DecompAudit":
+            return [DecompRow(tid, 0, *[float("nan")] * (len(DecompRow._fields) - 2))]
         return [TrialRecord(tid, 0, "error_code", 1.0)]
 
 
@@ -461,8 +450,17 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_trials(fn_name: str, config: ExperimentConfig) -> list:
-    packed = [(fn_name, config, tid) for tid in range(config.trials)]
+def run_experiment(config: ExperimentConfig) -> list[TrialRecord] | list[DecompRow]:
+    """All trials of a trial-based experiment, merged in trial order.
+
+    DecompAudit yields DecompRow rows, the other trial experiments TrialRecord.
+    """
+    _validate(config)
+    if config.experiment in _SCAN_EXPERIMENTS:
+        raise ConfigError(
+            f"{config.experiment} is a grid scan; use run_scan for ScanRow output"
+        )
+    packed = [(config, tid) for tid in range(config.trials)]
     w = min(worker_count(), config.trials)
     if w == 1:
         results = [_run_one(p) for p in packed]
@@ -470,27 +468,6 @@ def _map_trials(fn_name: str, config: ExperimentConfig) -> list:
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_one, packed))
     return [row for sub in results for row in sub]
-
-
-def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
-    """All trials of a trial-based experiment, merged in trial order."""
-    _validate(config)
-    if config.experiment in _SCAN_EXPERIMENTS:
-        raise ConfigError(
-            f"{config.experiment} is a grid scan; use run_scan for ScanRow output"
-        )
-    return _map_trials(config.experiment, config)
-
-
-def run_decomp_rows(config: ExperimentConfig) -> list[DecompRow]:
-    """DecompAudit's full per-iteration ledger summary (one row per trial, t)."""
-    _validate(config)
-    if config.experiment != "DecompAudit":
-        raise ConfigError("run_decomp_rows only serves DecompAudit configs")
-    rows: list[DecompRow] = []
-    for tid in range(config.trials):
-        rows.extend(_trial_decomp((config, tid)))
-    return rows
 
 
 def run_scan(config: ExperimentConfig) -> list[ScanRow]:

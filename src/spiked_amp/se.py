@@ -8,7 +8,7 @@ scans.  No randomness, no matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -141,18 +141,20 @@ def _iterate_se(
     )
 
 
+def _se_prefix(step: Callable[[float], float], start: float, tol: float, T: int) -> SeTrajectory:
+    """Exactly T values from start; a run that converges early repeats its last value."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    traj = _iterate_se(step, start, tol=tol, max_iter=T - 1, max_values=T)
+    values = traj.values + (traj.values[-1],) * (T - len(traj.values))
+    return replace(traj, values=values)
+
+
 def se_z2_trajectory(lam: float, T: int, q: Quadrature, tol: float = 1e-12) -> SeTrajectory:
     """The sequence tau_1 .. tau_T from tau_1 = lam^2 - 1 (exactly T values)."""
     if lam <= 1.0:
         raise ValueError(f"need lam > 1 for a positive tau_1, got {lam}")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    traj = _iterate_se(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0,
-                       tol=tol, max_iter=T - 1, max_values=T)
-    values = traj.values + (traj.values[-1],) * (T - len(traj.values))
-    return SeTrajectory(values=values[:T], fixed_point=traj.fixed_point,
-                        converged=traj.converged,
-                        iterations_to_converge=traj.iterations_to_converge)
+    return _se_prefix(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0, tol, T)
 
 
 def se_z2_fixed_point(
@@ -322,14 +324,7 @@ def se_sparse_trajectory(
     The starting value is an input because the theory only pins it up to a
     constant factor of lam; callers couple it to their initialization.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    traj = _iterate_se(lambda a: se_sparse_f(a, v_star, tau_t, lam), alpha_start,
-                       tol=tol, max_iter=T - 1, max_values=T)
-    values = traj.values + (traj.values[-1],) * (T - len(traj.values))
-    return SeTrajectory(values=values[:T], fixed_point=traj.fixed_point,
-                        converged=traj.converged,
-                        iterations_to_converge=traj.iterations_to_converge)
+    return _se_prefix(lambda a: se_sparse_f(a, v_star, tau_t, lam), alpha_start, tol, T)
 
 
 def kappa2_sparse(

@@ -34,8 +34,15 @@ def test_deterministic_bytewise(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    args = ["z2", "--n", "80", "--T", "2", "--trials", "4", "--seed", "3"]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["z2", "--n", "80", "--T", "2", "--trials", "4", "--seed", "3"],
+        ["decomp-audit", "--n", "100", "--T", "3", "--trials", "4", "--seed", "3"],
+    ],
+    ids=["z2", "decomp-audit"],
+)
+def test_worker_count_does_not_change_output(args, tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
     assert cli.main(args + ["--out", str(a)]) == 0

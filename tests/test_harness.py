@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from spiked_amp import decomp, harness, se
+from spiked_amp import cli, decomp, harness, se
+from spiked_amp._rng import derive_seed
 from spiked_amp.harness import (
     ConfigError,
     DecompRow,
@@ -17,11 +18,11 @@ from spiked_amp.harness import (
     build_config,
     emit_csv,
     load_config,
-    run_decomp_rows,
     run_experiment,
     run_scan,
     worker_count,
 )
+from spiked_amp.sparse_init import InitializationFailureError
 
 Z2_SMALL = {"experiment": "Z2Pipeline", "n": 120, "lambda": 1.5, "T": 3,
             "trials": 2, "seed": 5}
@@ -30,7 +31,7 @@ Z2_SMALL = {"experiment": "Z2Pipeline", "n": 120, "lambda": 1.5, "T": 3,
 def _boom_on_tid_one(args):
     config, tid = args
     if tid == 1:
-        raise RuntimeError("synthetic trial crash")
+        raise InitializationFailureError("synthetic trial crash")
     return harness._trial_z2(args)
 
 
@@ -214,32 +215,57 @@ def test_spectral_experiment_rows():
     assert all(r.t == 0 for r in rows)
 
 
-def test_run_decomp_rows_schema_and_determinism():
+def test_run_experiment_decomp_rows_schema_and_determinism():
     config = build_config(
         {"experiment": "DecompAudit", "n": 100, "lambda": 1.5, "T": 3, "trials": 1}
     )
-    rows = run_decomp_rows(config)
-    assert rows == run_decomp_rows(config)
+    rows = run_experiment(config)
+    assert rows == run_experiment(config)
     assert all(isinstance(r, DecompRow) for r in rows)
     # ledger entry t expands x_{t+1}, so a T-step run yields T - 1 rows
     assert [r.t for r in rows] == [1, 2]
     assert all(np.isfinite(r.xi_norm) and r.xi_norm > 0 for r in rows)
-    with pytest.raises(ConfigError):
-        run_decomp_rows(build_config({"experiment": "SeScan"}))
 
 
-def test_decomp_audit_records_projection():
+def test_decomp_audit_isolates_degenerate_basis(monkeypatch, tmp_path):
+    # a statistical failure in one trial leaves an all-NaN row at t = 0
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
     config = build_config(
-        {"experiment": "DecompAudit", "n": 100, "lambda": 1.5, "T": 3, "trials": 1}
+        {"experiment": "DecompAudit", "n": 100, "lambda": 1.5, "T": 3,
+         "trials": 3, "seed": 5}
     )
-    full = run_decomp_rows(config)
-    records = run_experiment(config)
-    assert {r.metric_name for r in records} == {
-        "alpha", "xi_norm", "max_phi_corr", "w1_mixed"
-    }
-    by_t = {r.t: r for r in full}
-    for rec in records:
-        assert rec.value == pytest.approx(getattr(by_t[rec.t], rec.metric_name))
+    healthy = run_experiment(config)
+    failing_seed = derive_seed(derive_seed(5, "trial", 1), "ledger")
+    build_ledger = decomp.build_ledger
+
+    def degenerate_on_tid_one(model, traj, aux_seed):
+        if aux_seed == failing_seed:
+            raise decomp.BasisDegenerateError("synthetic degenerate basis")
+        return build_ledger(model, traj, aux_seed=aux_seed)
+
+    monkeypatch.setattr(decomp, "build_ledger", degenerate_on_tid_one)
+    rows = run_experiment(config)
+    (failed,) = [r for r in rows if r.trial_id == 1]
+    assert failed.t == 0 and all(np.isnan(v) for v in failed[2:])
+    assert [r for r in rows if r.trial_id != 1] == [r for r in healthy if r.trial_id != 1]
+    out = tmp_path / "audit.csv"
+    args = ["decomp-audit", "--n", "100", "--T", "3", "--trials", "3", "--seed", "5"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert "1,0,nan,nan,nan,nan,nan,nan,nan" in out.read_text().splitlines()
+
+
+def test_unexpected_trial_error_propagates(monkeypatch):
+    # only the named statistical failures become rows; a ValueError is a bug
+    def broken(args):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    monkeypatch.setitem(harness._TRIAL_FNS, "Z2Pipeline", broken)
+    config = build_config(
+        {"experiment": "Z2Pipeline", "n": 80, "lambda": 1.5, "T": 2, "trials": 2}
+    )
+    with pytest.raises(ValueError, match="synthetic bug"):
+        run_experiment(config)
 
 
 # ---------------------------------------------------------------------------
