@@ -11,11 +11,13 @@ starting vectors, and `harness`/`cli` wire experiments together.
 from .amp import (
     AmpTrajectory,
     SpectralInit,
+    TopEigenpair,
     amp_step,
     default_power_steps,
     run_amp,
     sign_align,
     spectral_init,
+    top_eigenpair,
 )
 from .decomp import (
     BasisDegenerateError,

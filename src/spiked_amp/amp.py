@@ -1,4 +1,5 @@
-"""The AMP engine: single step, full runs, spectral initialization.
+"""The AMP engine: single step, full runs, spectral initialization and
+the top-eigenpair refinement that only eigenvalue experiments need.
 
 A run owns nothing random; the model, the starting point, and the step-0
 convention eta_0(x_0) are all passed in, so the same trajectory is
@@ -19,11 +20,13 @@ from .model import SpikedModel
 __all__ = [
     "AmpTrajectory",
     "SpectralInit",
+    "TopEigenpair",
     "amp_step",
     "default_power_steps",
     "run_amp",
     "sign_align",
     "spectral_init",
+    "top_eigenpair",
 ]
 
 
@@ -119,15 +122,28 @@ def run_amp(
 class SpectralInit:
     """Output of the power-iteration initializer.
 
-    x1 is the unit-norm estimate a_s M^s v_tilde (any SNR rescaling is the
-    caller's job).  lambda_tilde back-solves the top-eigenvalue location and
-    is NaN whenever lambda_max < 2 (no real solution); check `valid`.
+    x1 is the unit-norm estimate a_s M^s v_tilde after s renormalized power
+    steps from the random unit start v_tilde, and a_s = 1 / ||M^s v_tilde||
+    (any SNR rescaling is the caller's job).  The eigenvalue estimate is not
+    part of the start; `top_eigenpair` refines x1 when it is needed.
     """
 
     x1: np.ndarray
     s: int
     a_s: float
     v_tilde: np.ndarray
+
+
+@dataclass(frozen=True)
+class TopEigenpair:
+    """Top-eigenpair estimate from s further power steps after x1.
+
+    vhat is the unit-norm iterate and lambda_max = vhat . M vhat its Rayleigh
+    quotient.  lambda_tilde back-solves the spike location from
+    lambda_max = lambda_tilde + 1/lambda_tilde and is NaN whenever
+    lambda_max < 2 (no real solution); check `valid`.
+    """
+
     lambda_max: float
     lambda_tilde: float
     vhat: np.ndarray
@@ -138,57 +154,63 @@ class SpectralInit:
 
 
 def default_power_steps(n: int, lam: float) -> int:
-    """s = ceil(8 log n / (lam-1)^2), capped at n/4."""
+    """s = ceil(8 log n / (lam-1)^2), capped at n/4; defined for lam > 1."""
+    if not lam > 1.0:
+        raise ValueError(f"default_power_steps needs lam > 1 (spectral regime), got {lam!r}")
     s = int(np.ceil(8.0 * np.log(n) / (lam - 1.0) ** 2))
     return max(1, min(s, n // 4))
 
 
-def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
-    """Power iteration from a random start, renormalized every step.
+def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, float]:
+    """s power steps from y, renormalized every step to avoid overflow.
 
-    Renormalization avoids overflow for large s; a_s (the inverse of
-    ||M^s v_tilde||) is recovered as the product of the per-step inverse
-    norms.  lambda_max is the Rayleigh quotient after s further steps.
+    Returns the unit iterate and the log of the product of the per-step
+    inverse norms, which is -log ||M^s y|| for a unit y.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    n = M.shape[0]
-    rng = substream(seed, "spectral-start")
-    v_tilde = rng.standard_normal(n)
-    v_tilde /= np.linalg.norm(v_tilde)
-
-    y = v_tilde.copy()
     log_a = 0.0
     for step in range(1, s + 1):
         y = M @ y
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             raise ValueError(
-                f"spectral_init: power step {step} gave ||M y|| = 0 "
+                f"power step {step} gave ||M y|| = 0 "
                 "(the start vector is in M's null space)"
             )
         log_a -= np.log(nrm)
         y /= nrm
-    # M symmetric and M y != 0 imply M^2 y != 0, so the steps below cannot
-    # hit a zero vector
-    x1 = y.copy()
-    for _ in range(s):
-        y = M @ y
-        y /= np.linalg.norm(y)
-    lambda_max = float(y @ (M @ y))
+    return y, log_a
+
+
+def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
+    """s power steps from a random unit start: s matvecs.
+
+    a_s (the inverse of ||M^s v_tilde||) is recovered as the product of the
+    per-step inverse norms.
+    """
+    n = M.shape[0]
+    rng = substream(seed, "spectral-start")
+    v_tilde = rng.standard_normal(n)
+    v_tilde /= np.linalg.norm(v_tilde)
+    x1, log_a = _power_steps(M, v_tilde, s)
+    return SpectralInit(x1=x1, s=s, a_s=float(np.exp(log_a)), v_tilde=v_tilde)
+
+
+def top_eigenpair(M: np.ndarray, x1: np.ndarray, s: int) -> TopEigenpair:
+    """Refine a spectral start: s power steps from x1 and a Rayleigh quotient.
+
+    That is s + 1 matvecs.  Called as top_eigenpair(M, init.x1, init.s), vhat
+    is the unit iterate after 2s power steps from init.v_tilde.  x1 is not
+    modified.
+    """
+    vhat, _ = _power_steps(M, x1, s)
+    lambda_max = float(vhat @ (M @ vhat))
     if lambda_max >= 2.0:
         lambda_tilde = (lambda_max + np.sqrt(lambda_max**2 - 4.0)) / 2.0
     else:
         lambda_tilde = float("nan")
-    return SpectralInit(
-        x1=x1,
-        s=s,
-        a_s=float(np.exp(log_a)),
-        v_tilde=v_tilde,
-        lambda_max=lambda_max,
-        lambda_tilde=lambda_tilde,
-        vhat=y,
-    )
+    return TopEigenpair(lambda_max=lambda_max, lambda_tilde=lambda_tilde, vhat=vhat)
 
 
 def sign_align(x: np.ndarray, v_star: np.ndarray) -> np.ndarray:

@@ -112,7 +112,12 @@ def main(argv: list[str] | None = None) -> int:
             row_type: type = harness.ScanRow
         else:
             rows = harness.run_experiment(config)
-            if config.experiment == "DecompAudit":
+            audit = config.experiment == "DecompAudit"
+            for r in rows:
+                # a failed trial's row: all-NaN DecompRow at t = 0, or error_code
+                if (r.t == 0) if audit else (r.metric_name == "error_code"):
+                    print(f"[failed] trial={r.trial_id} t={r.t}", file=sys.stderr)
+            if audit:
                 print(f"[audit] rows={len(rows)}")
                 row_type = harness.DecompRow
             else:

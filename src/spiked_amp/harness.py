@@ -25,7 +25,8 @@ TrialRecord metric vocabulary (closed):
   l2_err          || (1/lam) ST_tau(x_T) - v* ||_2, final iterate only
   overlap         |<v*, x_t>| / ||x_t||
   score           sample-split winner's complement-block quadratic form
-  lambda_max      top-eigenvalue estimate from the power method
+  lambda_max      top-eigenvalue estimate (Rayleigh quotient after 2s power
+                  steps)
   eig_overlap_sq  squared correlation of the top eigenvector with v*
 plus "error_code" for failed trials.
 """
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
-from .amp import default_power_steps, run_amp, spectral_init
+from .amp import default_power_steps, run_amp, spectral_init, top_eigenpair
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
 from .model import SignalSpec, SpikedModel, make_signal, make_spiked, sample_wigner
 
@@ -170,6 +171,8 @@ _JSON_KEYS = {
 _FIELD_FOR_KEY = {"lambda": "lam"}
 
 _SCAN_EXPERIMENTS = ("SeScan", "KappaScan")
+# experiments that start from spectral_init and so read s_power
+_SPECTRAL_EXPERIMENTS = ("Z2Pipeline", "DecompAudit", "SpectralCorrelation")
 
 
 def load_config(path: str) -> dict:
@@ -257,6 +260,8 @@ def _validate(config: ExperimentConfig) -> None:
     elif exp == "KappaScan":
         if config.quantity not in ("", "kappa", "t2"):
             raise ConfigError(f"KappaScan quantity must be kappa|t2, got {config.quantity!r}")
+    if exp in _SPECTRAL_EXPERIMENTS and config.s_power is not None and config.s_power < 1:
+        raise ConfigError(f"{exp} needs s_power >= 1 power steps, got {config.s_power}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +271,9 @@ def _validate(config: ExperimentConfig) -> None:
 def _z2_setup(config: ExperimentConfig, tseed: int):
     v = make_signal(SignalSpec(kind="z2", n=config.n, seed=tseed))
     model = make_spiked(config.lam, v, sample_wigner(config.n, tseed))
-    s = config.s_power or default_power_steps(config.n, config.lam)
+    s = config.s_power
+    if s is None:
+        s = default_power_steps(config.n, config.lam)
     init = spectral_init(model.observed, s, tseed)
     return model, init
 
@@ -370,9 +377,10 @@ def _trial_spectral(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     config, tid = args
     tseed = derive_seed(config.seed, "trial", tid)
     model, init = _z2_setup(config, tseed)
-    ov = float(model.v_star @ init.vhat)
+    eig = top_eigenpair(model.observed, init.x1, init.s)
+    ov = float(model.v_star @ eig.vhat)
     return [
-        TrialRecord(tid, 0, "lambda_max", init.lambda_max),
+        TrialRecord(tid, 0, "lambda_max", eig.lambda_max),
         TrialRecord(tid, 0, "eig_overlap_sq", ov * ov),
     ]
 

@@ -1,4 +1,4 @@
-"""AMP recursion, trajectory invariants, spectral initializer."""
+"""AMP recursion, trajectory invariants, spectral initializer and refinement."""
 
 import numpy as np
 import pytest
@@ -94,12 +94,13 @@ def test_spectral_lambda_max_vs_eigh():
     model = _z2_model(300, 1.5, 0)
     s = amp.default_power_steps(300, 1.5)
     init = sa.spectral_init(model.observed, s, 0)
+    eig = sa.top_eigenpair(model.observed, init.x1, init.s)
     top = np.linalg.eigvalsh(model.observed)[-1]
-    assert abs(init.lambda_max - top) < 1e-9
-    assert init.valid
+    assert abs(eig.lambda_max - top) < 1e-9
+    assert eig.valid
     # back-solved lambda_tilde satisfies its defining equation exactly
-    assert init.lambda_tilde + 1.0 / init.lambda_tilde == pytest.approx(
-        init.lambda_max, abs=1e-12
+    assert eig.lambda_tilde + 1.0 / eig.lambda_tilde == pytest.approx(
+        eig.lambda_max, abs=1e-12
     )
 
 
@@ -108,9 +109,35 @@ def test_spectral_lambda_tilde_nan_below_bulk_edge():
     # so the quadratic has no real root and the field must be NaN.
     W = sa.sample_wigner(40, 3)
     init = sa.spectral_init(W, 30, 3)
-    assert init.lambda_max < 2.0
-    assert np.isnan(init.lambda_tilde)
-    assert not init.valid
+    eig = sa.top_eigenpair(W, init.x1, init.s)
+    assert eig.lambda_max < 2.0
+    assert np.isnan(eig.lambda_tilde)
+    assert not eig.valid
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix view that counts its matvecs."""
+
+    def __matmul__(self, other):
+        self.matvecs += 1
+        return self.view(np.ndarray) @ other
+
+
+def test_power_start_and_refinement_matvec_counts():
+    # the start costs s matvecs; only the refinement pays the other s + 1
+    model = _z2_model(60, 1.5, 5)
+    s = 7
+    M = model.observed.view(_CountingMatrix)
+    M.matvecs = 0
+    init = sa.spectral_init(M, s, 5)
+    assert M.matvecs == s
+    x1 = init.x1.copy()
+    M.matvecs = 0
+    eig = sa.top_eigenpair(M, init.x1, s)
+    assert M.matvecs == s + 1
+    np.testing.assert_array_equal(init.x1, x1)
+    # the refinement continues the same power sequence: 2s steps from v_tilde
+    np.testing.assert_array_equal(eig.vhat, sa.spectral_init(model.observed, 2 * s, 5).x1)
 
 
 def test_default_power_steps():
@@ -119,11 +146,17 @@ def test_default_power_steps():
     )
     # the n/4 cap engages for lam close to 1
     assert amp.default_power_steps(100, 1.01) == 25
+    # below the spectral threshold the formula has no meaning
+    for lam in (1.0, 0.5, float("nan")):
+        with pytest.raises(ValueError, match="lam > 1"):
+            amp.default_power_steps(100, lam)
 
 
 def test_spectral_rejects_bad_s():
     with pytest.raises(ValueError):
         sa.spectral_init(np.eye(4), 0, 1)
+    with pytest.raises(ValueError):
+        sa.top_eigenpair(np.eye(4), np.ones(4) / 2.0, 0)
 
 
 def test_spectral_rejects_vanishing_power_step():

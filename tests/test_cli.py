@@ -39,8 +39,9 @@ def test_deterministic_bytewise(tmp_path):
     [
         ["z2", "--n", "80", "--T", "2", "--trials", "4", "--seed", "3"],
         ["decomp-audit", "--n", "100", "--T", "3", "--trials", "4", "--seed", "3"],
+        ["spectral", "--n", "80", "--trials", "4", "--seed", "3"],
     ],
-    ids=["z2", "decomp-audit"],
+    ids=["z2", "decomp-audit", "spectral"],
 )
 def test_worker_count_does_not_change_output(args, tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -93,6 +94,15 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
 def test_bad_flag_value_exits_2(capsys):
     assert cli.main(["z2", "--n", "100", "--T", "2", "--lambda", "0.5"]) == 2
     assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["z2", "decomp-audit", "spectral"])
+@pytest.mark.parametrize("s_power", ["0", "-3"])
+def test_nonpositive_s_power_exits_2(command, s_power, capsys):
+    # 0 is not "use the default", and -3 must not reach spectral_init
+    args = [command, "--n", "100", "--T", "3", "--trials", "1", "--s-power", s_power]
+    assert cli.main(args) == 2
+    assert "s_power >= 1" in capsys.readouterr().err
 
 
 def test_se_scan_csv_schema(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_pool_merge_matches_serial(monkeypatch):
     assert pooled == serial
 
 
-def test_crash_isolation(monkeypatch):
+def test_crash_isolation(monkeypatch, capsys):
     monkeypatch.setitem(harness._TRIAL_FNS, "Z2Pipeline", _boom_on_tid_one)
     config = build_config(
         {"experiment": "Z2Pipeline", "n": 80, "lambda": 1.5, "T": 2, "trials": 3}
@@ -151,6 +151,8 @@ def test_crash_isolation(monkeypatch):
     assert crashed == [TrialRecord(1, 0, "error_code", 1.0)]
     healthy = {r.trial_id for r in rows if r.metric_name != "error_code"}
     assert healthy == {0, 2}
+    assert cli.main(["z2", "--n", "80", "--T", "2", "--trials", "3"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["[failed] trial=1 t=0"]
 
 
 def test_ledger_inconsistency_propagates(monkeypatch):
@@ -227,7 +229,7 @@ def test_run_experiment_decomp_rows_schema_and_determinism():
     assert all(np.isfinite(r.xi_norm) and r.xi_norm > 0 for r in rows)
 
 
-def test_decomp_audit_isolates_degenerate_basis(monkeypatch, tmp_path):
+def test_decomp_audit_isolates_degenerate_basis(monkeypatch, tmp_path, capsys):
     # a statistical failure in one trial leaves an all-NaN row at t = 0
     monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
     config = build_config(
@@ -252,6 +254,7 @@ def test_decomp_audit_isolates_degenerate_basis(monkeypatch, tmp_path):
     args = ["decomp-audit", "--n", "100", "--T", "3", "--trials", "3", "--seed", "5"]
     assert cli.main(args + ["--out", str(out)]) == 0
     assert "1,0,nan,nan,nan,nan,nan,nan,nan" in out.read_text().splitlines()
+    assert capsys.readouterr().err.splitlines() == ["[failed] trial=1 t=0"]
 
 
 def test_unexpected_trial_error_propagates(monkeypatch):
