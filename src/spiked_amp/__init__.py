@@ -74,4 +74,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,6 +1,10 @@
 """The AMP engine: single step, full runs, spectral initialization and
 the top-eigenpair refinement that only eigenvalue experiments need.
 
+Every product with the symmetric M goes through one BLAS kernel, `_symv`
+(dsymv), which reads only M's upper triangle: M must be symmetric, and an
+asymmetric M is not detected.
+
 A run owns nothing random; the model, the starting point, and the step-0
 convention eta_0(x_0) are all passed in, so the same trajectory is
 reproducible from its inputs alone.
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from . import denoise
 from ._rng import substream
@@ -47,16 +52,31 @@ class AmpTrajectory:
     failure: tuple[int, str] | None = None
 
 
+def _symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M y for a symmetric M via BLAS dsymv, reading only M[i, j] with i <= j.
+
+    dsymv wants a Fortran-order matrix.  A C-order M is passed as its
+    F-contiguous transpose M.T with the triangle flag flipped, so the matrix
+    is never copied (f2py would copy a C-order argument on every call).
+    """
+    if M.flags.f_contiguous:
+        return dsymv(1.0, M, y)
+    return dsymv(1.0, M.T, y, lower=1)
+
+
 def amp_step(
     M: np.ndarray, eta_xt: np.ndarray, eta_prev: np.ndarray, onsager: float
 ) -> np.ndarray:
-    """x_{t+1} = M eta_t(x_t) - <eta_t'(x_t)> eta_{t-1}(x_{t-1})."""
+    """x_{t+1} = M eta_t(x_t) - <eta_t'(x_t)> eta_{t-1}(x_{t-1}).
+
+    M must be symmetric; only its upper triangle is read.
+    """
     n = M.shape[0]
     if M.shape != (n, n) or eta_xt.shape != (n,) or eta_prev.shape != (n,):
         raise ValueError(
             f"dimension mismatch: M {M.shape}, eta {eta_xt.shape}, prev {eta_prev.shape}"
         )
-    return M @ eta_xt - onsager * eta_prev
+    return _symv(M, eta_xt) - onsager * eta_prev
 
 
 def _fit(family: str, x: np.ndarray, n: int, tau: float) -> DenoiserState:
@@ -82,6 +102,7 @@ def run_amp(
     eta0_of_x0 is the step-0 convention: x1/lam for the spectrally
     initialized tanh pipeline, zero for the sparse pipeline.  `tau` is only
     read by the soft-threshold family (constant across iterations).
+    model.observed must be symmetric; only its upper triangle is read.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -171,7 +192,7 @@ def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, floa
         raise ValueError("s must be >= 1")
     log_a = 0.0
     for step in range(1, s + 1):
-        y = M @ y
+        y = _symv(M, y)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             raise ValueError(
@@ -183,12 +204,19 @@ def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, floa
     return y, log_a
 
 
+def _check_square(M: np.ndarray) -> None:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square 2-D matrix, got shape {M.shape}")
+
+
 def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
     """s power steps from a random unit start: s matvecs.
 
     a_s (the inverse of ||M^s v_tilde||) is recovered as the product of the
-    per-step inverse norms.
+    per-step inverse norms.  M must be symmetric; only its upper triangle is
+    read.
     """
+    _check_square(M)
     n = M.shape[0]
     rng = substream(seed, "spectral-start")
     v_tilde = rng.standard_normal(n)
@@ -202,10 +230,13 @@ def top_eigenpair(M: np.ndarray, x1: np.ndarray, s: int) -> TopEigenpair:
 
     That is s + 1 matvecs.  Called as top_eigenpair(M, init.x1, init.s), vhat
     is the unit iterate after 2s power steps from init.v_tilde.  x1 is not
-    modified.
+    modified.  M must be symmetric; only its upper triangle is read.
     """
+    _check_square(M)
+    if np.shape(x1) != (M.shape[0],):
+        raise ValueError(f"dimension mismatch: M {M.shape}, x1 {np.shape(x1)}")
     vhat, _ = _power_steps(M, x1, s)
-    lambda_max = float(vhat @ (M @ vhat))
+    lambda_max = float(vhat @ _symv(M, vhat))
     if lambda_max >= 2.0:
         lambda_tilde = (lambda_max + np.sqrt(lambda_max**2 - 4.0)) / 2.0
     else:

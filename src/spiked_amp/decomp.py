@@ -29,7 +29,7 @@ from scipy.stats import norm
 
 from . import denoise
 from ._rng import substream
-from .amp import AmpTrajectory
+from .amp import AmpTrajectory, _symv
 from .model import SpikedModel
 
 __all__ = [
@@ -98,7 +98,7 @@ def _apply_projected(model: SpikedModel, U: np.ndarray, z: np.ndarray) -> np.nda
     One matvec with M plus O(nk) work; neither W nor P W P is formed.
     """
     z = z - U @ (U.T @ z)
-    w = model.observed @ z - model.lam * float(model.v_star @ z) * model.v_star
+    w = _symv(model.observed, z) - model.lam * float(model.v_star @ z) * model.v_star
     return w - U @ (U.T @ w)
 
 

@@ -1,5 +1,7 @@
 """AMP recursion, trajectory invariants, spectral initializer and refinement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,29 +117,52 @@ def test_spectral_lambda_tilde_nan_below_bulk_edge():
     assert not eig.valid
 
 
-class _CountingMatrix(np.ndarray):
-    """A matrix view that counts its matvecs."""
-
-    def __matmul__(self, other):
-        self.matvecs += 1
-        return self.view(np.ndarray) @ other
-
-
-def test_power_start_and_refinement_matvec_counts():
+def test_power_start_and_refinement_matvec_counts(monkeypatch):
     # the start costs s matvecs; only the refinement pays the other s + 1
     model = _z2_model(60, 1.5, 5)
     s = 7
-    M = model.observed.view(_CountingMatrix)
-    M.matvecs = 0
-    init = sa.spectral_init(M, s, 5)
-    assert M.matvecs == s
+    calls = []
+    symv = amp._symv
+
+    def counting(M, y):
+        calls.append(y.shape)
+        return symv(M, y)
+
+    monkeypatch.setattr(amp, "_symv", counting)
+    init = sa.spectral_init(model.observed, s, 5)
+    assert len(calls) == s
     x1 = init.x1.copy()
-    M.matvecs = 0
-    eig = sa.top_eigenpair(M, init.x1, s)
-    assert M.matvecs == s + 1
+    calls.clear()
+    eig = sa.top_eigenpair(model.observed, init.x1, s)
+    assert len(calls) == s + 1
     np.testing.assert_array_equal(init.x1, x1)
     # the refinement continues the same power sequence: 2s steps from v_tilde
     np.testing.assert_array_equal(eig.vhat, sa.spectral_init(model.observed, 2 * s, 5).x1)
+
+
+def test_symv_matches_matmul_without_copying_M(monkeypatch):
+    # C order, F order and a split complement block; dsymv must get an
+    # F-contiguous view of the caller's M, never a copy
+    model = _z2_model(300, 1.5, 4)
+    M = model.observed
+    Ic = np.sort(np.random.default_rng(1).choice(300, size=170, replace=False))
+    received = []
+    dsymv = amp.dsymv
+
+    def recording(alpha, a, x, **kw):
+        received.append(a)
+        return dsymv(alpha, a, x, **kw)
+
+    monkeypatch.setattr(amp, "dsymv", recording)
+    rng = np.random.default_rng(2)
+    for A in (M, np.asfortranarray(M), M[np.ix_(Ic, Ic)]):
+        received.clear()
+        y = rng.standard_normal(A.shape[0])
+        got = amp._symv(A, y)
+        (a,) = received
+        assert a.flags.f_contiguous and np.shares_memory(a, A)
+        bound = 1e-13 * np.linalg.norm(A) * np.linalg.norm(y)
+        assert np.max(np.abs(got - A @ y)) <= bound
 
 
 def test_default_power_steps():
@@ -157,6 +182,20 @@ def test_spectral_rejects_bad_s():
         sa.spectral_init(np.eye(4), 0, 1)
     with pytest.raises(ValueError):
         sa.top_eigenpair(np.eye(4), np.ones(4) / 2.0, 0)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+def test_spectral_rejects_non_square_M(shape):
+    M = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        sa.spectral_init(M, 3, 1)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        sa.top_eigenpair(M, np.ones(shape[0]) / np.sqrt(shape[0]), 3)
+
+
+def test_top_eigenpair_rejects_mismatched_x1():
+    with pytest.raises(ValueError, match="x1"):
+        sa.top_eigenpair(np.eye(4), np.ones(3), 3)
 
 
 def test_spectral_rejects_vanishing_power_step():

@@ -14,6 +14,23 @@ def test_wigner_symmetric_bitwise():
     assert np.array_equal(W, W.T)
 
 
+def test_package_matrices_symmetric_bitwise():
+    # _symv reads one triangle of M, so every matrix AMP runs on must be
+    # exactly symmetric: the assembled model and the split complement block
+    n, k = 300, 8
+    for kind in ("z2", "sparse-dirac"):
+        v = sa.make_signal(SignalSpec(kind=kind, n=n, k=k, seed=3))
+        M = sa.make_spiked(1.7, v, sa.sample_wigner(n, 3)).observed
+        assert np.array_equal(M, M.T)
+    model = sa.make_spiked(3.0, v, sa.sample_wigner(n, 3))
+    p, N, tau1 = sa.default_split_params(n, k)
+    chosen, _ = sa.sample_split_init(model, p, N, tau1, 3)
+    Ic = chosen.complement
+    block = model.observed[np.ix_(Ic, Ic)]
+    assert 0 < Ic.size < n
+    assert np.array_equal(block, block.T)
+
+
 def test_wigner_frozen_values():
     W = sa.sample_wigner(5, 11)
     np.testing.assert_allclose(
