@@ -33,7 +33,6 @@ from .denoise import (
     DegenerateIterateError,
     DenoiserState,
     default_tau,
-    fit_identity,
     fit_soft_threshold,
     fit_tanh,
     soft_threshold,

@@ -80,8 +80,6 @@ def amp_step(
 
 
 def _fit(family: str, x: np.ndarray, n: int, tau: float) -> DenoiserState:
-    if family == "identity":
-        return denoise.fit_identity()
     if family == "tanh-z2":
         return denoise.fit_tanh(x, n)
     if family == "soft-threshold":

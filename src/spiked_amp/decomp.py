@@ -3,10 +3,12 @@
 Alongside a trajectory x_1..x_T this module maintains:
 
 * an orthonormal basis z_k grown by Gram-Schmidt from the denoised iterates,
-* synthesized Gaussians phi_k = W_k z_k + zeta_k, where W_k = P_k W P_k is
-  the noise W = M - lam v* v*^T with the used directions projected out
-  (P_k = I - U_k U_k^T, U_k = [z_0 .. z_{k-1}]) and zeta_k an augmentation
-  vector; W_k z_k is one matvec with the model's M plus O(nk), never stored,
+  stored as the rows of a (K, n) array `basis`,
+* synthesized Gaussians phi_k = W_k z_k + zeta_k, the rows of `phis`, where
+  W_k = P_k W P_k is the noise W = M - lam v* v*^T with the used directions
+  projected out (P_k = I - U_k^T U_k, U_k = basis[:k], the rows z_0 .. z_{k-1})
+  and zeta_k an augmentation vector; W_k z_k is one matvec with the model's M
+  plus O(nk), never stored,
 * and per-iteration coefficients so that
 
       x_{t+1} = alpha_{t+1} v* + sum_k beta_t^k phi_k + xi_t
@@ -17,15 +19,15 @@ When the run's step-0 convention eta_0(x_0) is a multiple of x_1 (the
 spectrally initialized pipeline), the basis is seeded with z_0 = x_1/||x_1||
 before the loop; the exactness above then covers every recorded t, while
 x_1's own expansion residual is only measured, not constructed.  The seeded
-vectors sit at the front of the flat basis list and `offset` counts them.
+vector sits in the first row of `basis` and `offset` counts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import denoise
 from ._rng import substream
@@ -60,99 +62,89 @@ class LedgerInconsistencyError(RuntimeError):
     """The residual left the basis span: a bookkeeping bug, not statistics."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionLedger:
-    aux_seed: int
-    basis: list[np.ndarray] = field(default_factory=list)
-    phis: list[np.ndarray] = field(default_factory=list)
-    alphas: list[float] = field(default_factory=list)  # alpha_{t+1} per record
-    betas: list[np.ndarray] = field(default_factory=list)
-    xi_norms: list[float] = field(default_factory=list)
-    xis: list[np.ndarray] = field(default_factory=list)
-    leaks: list[float] = field(default_factory=list)
-    offset: int = 0  # seeded basis vectors in front of z_1
+    basis: np.ndarray  # (K, n), row k is z_k; K = offset + records
+    phis: np.ndarray  # (K, n), row k is phi_k
+    xis: np.ndarray  # (records, n), row t - 1 is xi_t
+    alphas: list[float]  # alpha_{t+1} per record
+    betas: list[np.ndarray]
+    xi_norms: list[float]
+    leaks: list[float]
+    offset: int  # seeded basis vectors in front of z_1
     # raw pieces of each zeta_k, kept for the exact residual identities
-    gs: list[np.ndarray] = field(default_factory=list)
-    zwz: list[float] = field(default_factory=list)
-
-
-def _extend_basis(ledger: DecompositionLedger, eta_xt: np.ndarray) -> np.ndarray:
-    """Append the normalized Gram-Schmidt residual of eta_xt to the basis."""
-    r = np.array(eta_xt, dtype=np.float64)
-    for _ in range(2):  # twice is enough to hold orthogonality at 1e-10
-        for z in ledger.basis:
-            r -= (z @ r) * z
-    nrm = float(np.linalg.norm(r))
-    if nrm <= 1e-12:
-        raise BasisDegenerateError(
-            f"iterate is in the span of the current {len(ledger.basis)} basis vectors"
-        )
-    z = r / nrm
-    ledger.basis.append(z)
-    return z
+    gs: list[np.ndarray]
+    zwz: list[float]
 
 
 def _apply_projected(model: SpikedModel, U: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W_k z = P W P z with P = I - U U^T (orthonormal U), W z = M z - lam v* (v* . z).
+    """W_k z = P W P z with P = I - U^T U (orthonormal rows U), W z = M z - lam v* (v* . z).
 
     One matvec with M plus O(nk) work; neither W nor P W P is formed.
     """
-    z = z - U @ (U.T @ z)
+    z = z - (U @ z) @ U
     w = _symv(model.observed, z) - model.lam * float(model.v_star @ z) * model.v_star
-    return w - U @ (U.T @ w)
+    return w - (U @ w) @ U
 
 
 def build_ledger(
-    model: SpikedModel,
-    trajectory: AmpTrajectory,
-    aux_seed: int,
-    seed_basis_with_x1: bool | None = None,
+    model: SpikedModel, trajectory: AmpTrajectory, aux_seed: int
 ) -> DecompositionLedger:
     """Replay a finished run: one basis vector, one phi, one record per t.
 
-    seed_basis_with_x1 defaults to whether the run's eta_0(x_0) is nonzero,
-    which is exactly when a z_0 = x_1 direction is needed for the residuals
-    to stay inside the span.
+    The basis is seeded with z_0 = x_1 / ||x_1|| exactly when the run's
+    eta_0(x_0) is nonzero, which is when that direction is needed for the
+    residuals to stay inside the span.
     """
-    if seed_basis_with_x1 is None:
-        seed_basis_with_x1 = bool(np.any(trajectory.eta0_of_x0 != 0.0))
-    ledger = DecompositionLedger(aux_seed=aux_seed, offset=int(seed_basis_with_x1))
+    offset = int(np.any(trajectory.eta0_of_x0 != 0.0))
     n = model.n
-    n_records = len(trajectory.iterates) - 1
-    directions = [trajectory.iterates[0]] if seed_basis_with_x1 else []
-    directions += trajectory.denoised[:n_records]
+    records = len(trajectory.iterates) - 1
+    directions = trajectory.iterates[:offset] + trajectory.denoised[:records]
+    basis = np.empty((offset + records, n))
+    phis = np.empty_like(basis)
+    xis = np.empty((records, n))
+    alphas, betas, xi_norms, leaks, gs, zwz = [], [], [], [], [], []
     for k, direction in enumerate(directions):
-        z = _extend_basis(ledger, direction)
-        U = np.stack(ledger.basis, axis=1)
-        U_prev = U[:, :k]
+        # Gram-Schmidt against z_0..z_{k-1}; twice holds orthogonality at 1e-10
+        U = basis[:k]
+        r = np.array(direction, dtype=np.float64)
+        for _ in range(2):
+            for z in U:
+                r -= (z @ r) * z
+        nrm = float(np.linalg.norm(r))
+        if nrm <= 1e-12:
+            raise BasisDegenerateError(f"iterate is in the span of the current {k} basis vectors")
+        z = basis[k] = r / nrm
         # phi_k = W_k z_k + zeta_k, with W_k projecting out z_0..z_{k-1}
-        Wz = _apply_projected(model, U_prev, z)
+        Wz = _apply_projected(model, U, z)
         q = float(z @ Wz)
         g = substream(aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(n), size=k)
-        ledger.phis.append(Wz + _DIAG_FIX * q * z + U_prev @ g)
-        ledger.gs.append(g)
-        ledger.zwz.append(q)
+        phis[k] = Wz + _DIAG_FIX * q * z + g @ U
+        gs.append(g)
+        zwz.append(q)
 
         # decompose x_{t+1} over the first offset + t = k + 1 basis vectors
-        t = k + 1 - ledger.offset
+        t = k + 1 - offset
         if t < 1:
             continue
+        U = basis[: k + 1]
         eta_t = trajectory.denoised[t - 1]
-        beta = U.T @ eta_t
+        beta = U @ eta_t
         alpha_next = model.lam * float(model.v_star @ eta_t)
-        Phi = np.stack(ledger.phis, axis=1)
-        xi = trajectory.iterates[t] - alpha_next * model.v_star - Phi @ beta
-        leak = float(np.linalg.norm(xi - U @ (U.T @ xi)))
+        xi = xis[t - 1] = trajectory.iterates[t] - alpha_next * model.v_star - beta @ phis[: k + 1]
+        leak = float(np.linalg.norm(xi - (U @ xi) @ U))
         if leak > _SPAN_TOL:
             raise LedgerInconsistencyError(
                 f"xi_{t} leaks {leak:.3e} outside the basis span (tolerance {_SPAN_TOL:g})"
             )
-        ledger.alphas.append(alpha_next)
-        ledger.betas.append(beta)
-        ledger.xis.append(xi)
-        ledger.xi_norms.append(float(np.linalg.norm(xi)))
-        ledger.leaks.append(leak)
-    return ledger
+        alphas.append(alpha_next)
+        betas.append(beta)
+        xi_norms.append(float(np.linalg.norm(xi)))
+        leaks.append(leak)
+    return DecompositionLedger(
+        basis=basis, phis=phis, xis=xis, alphas=alphas, betas=betas, xi_norms=xi_norms,
+        leaks=leaks, offset=offset, gs=gs, zwz=zwz,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def coordinate_w1(x: np.ndarray, var: float) -> float:
     quantiles, which is the optimal transport plan in one dimension.
     """
     n = x.shape[0]
-    q = norm.ppf((np.arange(1, n + 1) - 0.5) / n) * np.sqrt(var)
+    q = ndtri((np.arange(1, n + 1) - 0.5) / n) * np.sqrt(var)
     return float(np.mean(np.abs(np.sort(x) - q)))
 
 
@@ -195,12 +187,12 @@ def gaussianity_report(
         beta = ledger.betas[t - 1]
     if upto < 2:
         raise ValueError("need at least two phi vectors")
-    Phi = np.stack(ledger.phis[:upto], axis=1)
-    n = Phi.shape[0]
-    gram = Phi.T @ Phi
-    off = gram[~np.eye(gram.shape[0], dtype=bool)]
+    Phi = ledger.phis[:upto]
+    n = Phi.shape[1]
+    gram = Phi @ Phi.T
+    off = gram[~np.eye(upto, dtype=bool)]
     if beta is not None:
-        mixed = Phi[:, : beta.shape[0]] @ beta / np.linalg.norm(beta)
+        mixed = beta @ Phi[: beta.shape[0]] / np.linalg.norm(beta)
         w1_mixed = coordinate_w1(mixed, 1.0 / n)
     else:
         w1_mixed = float("nan")
@@ -238,24 +230,19 @@ def residual_diagnostics(
     L_prev = ledger.offset + t - 1
     L = ledger.offset + t
     alpha_t = model.lam * float(model.v_star @ eta_prev)
-    beta_prev = np.array([ledger.basis[j] @ eta_prev for j in range(L_prev)])
-    v_t = alpha_t * model.v_star
-    if L_prev:
-        v_t = v_t + np.stack(ledger.phis[:L_prev], axis=1) @ beta_prev
+    beta_prev = ledger.basis[:L_prev] @ eta_prev
+    v_t = alpha_t * model.v_star + beta_prev @ ledger.phis[:L_prev]
 
     state = trajectory.states[t - 1]  # the state fitted on x_t
     eta_v = denoise.apply(state, v_t)
     delta = trajectory.denoised[t - 1] - eta_v
-    delta_prime = trajectory.onsager[t - 1] - denoise.derivative_avg(state, v_t)
     eta_v_prime = denoise.derivative_avg(state, v_t)
+    delta_prime = trajectory.onsager[t - 1] - eta_v_prime
 
     xi = ledger.xis[t - 1]
     xi_norm = ledger.xi_norms[t - 1]
-    mu = np.array([ledger.basis[j] @ xi for j in range(L)]) / xi_norm
-    Delta = sum(
-        mu[k] * (float(ledger.phis[k] @ eta_v) - eta_v_prime * beta_prev[k])
-        for k in range(L_prev)
-    )
+    mu = ledger.basis[:L] @ xi / xi_norm
+    Delta = mu[:L_prev] @ (ledger.phis[:L_prev] @ eta_v - eta_v_prime * beta_prev)
     return ResidualDiagnostics(
         t=t,
         xi_norm=xi_norm,

@@ -1,6 +1,6 @@
 """Separable denoisers eta_t with data-driven per-iteration parameters.
 
-Two working families plus an identity for plumbing tests:
+Two families:
 
 * "tanh-z2":        eta(x) = gamma * tanh(pi * x), with pi fitted from the
                     iterate's norm and gamma normalizing eta(x_t) to unit norm.
@@ -22,7 +22,6 @@ __all__ = [
     "DenoiserState",
     "apply",
     "derivative_avg",
-    "fit_identity",
     "fit_soft_threshold",
     "fit_tanh",
     "default_tau",
@@ -42,14 +41,10 @@ class DegenerateIterateError(ValueError):
 
 @dataclass(frozen=True)
 class DenoiserState:
-    family: str  # "identity" | "tanh-z2" | "soft-threshold"
+    family: str  # "tanh-z2" | "soft-threshold"
     pi: float = 0.0
     gamma: float = 1.0
     tau: float = 0.0
-
-
-def fit_identity() -> DenoiserState:
-    return DenoiserState(family="identity")
 
 
 def _inverse_norm(v: np.ndarray, fit: str) -> float:
@@ -101,8 +96,6 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
 
 def apply(state: DenoiserState, x: np.ndarray) -> np.ndarray:
     """Evaluate eta entrywise."""
-    if state.family == "identity":
-        return np.asarray(x, dtype=np.float64).copy()
     if state.family == "tanh-z2":
         return state.gamma * np.tanh(state.pi * x)
     if state.family == "soft-threshold":
@@ -116,8 +109,6 @@ def derivative_avg(state: DenoiserState, x: np.ndarray) -> float:
     Entries exactly at a soft-threshold kink contribute 0.
     """
     n = len(x)
-    if state.family == "identity":
-        return 1.0
     if state.family == "tanh-z2":
         th = np.tanh(state.pi * x)
         return float(np.mean(state.gamma * state.pi * (1.0 - th * th)))

@@ -13,8 +13,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_hermite
-from scipy.stats import norm
+from scipy.special import ndtr, roots_hermite
 
 __all__ = [
     "ConvergenceFailureError",
@@ -90,7 +89,6 @@ class SeTrajectory:
     values: tuple[float, ...]
     fixed_point: float | None
     converged: bool
-    iterations_to_converge: int
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,6 @@ def _iterate_se(
         values=tuple(values),
         fixed_point=values[-1] if converged else None,
         converged=converged,
-        iterations_to_converge=iters,
     )
 
 
@@ -243,11 +240,16 @@ def tau_grid_z2(lam: float, points: int = 200) -> np.ndarray:
 # polynomial quadrature, and the truncated-normal algebra is exact)
 
 
+def _pdf(x):
+    """Standard normal density; ndtr is its CDF."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
 def soft_threshold_tail(mu, sigma: float, tau: float):
     """P(|mu + sigma Z| > tau)."""
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
-    return norm.sf(c1) + norm.cdf(c2)
+    return ndtr(-c1) + ndtr(c2)
 
 
 def soft_threshold_mean(mu, sigma: float, tau: float):
@@ -255,10 +257,10 @@ def soft_threshold_mean(mu, sigma: float, tau: float):
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
     return (
-        (mu - tau) * norm.sf(c1)
-        + sigma * norm.pdf(c1)
-        + (mu + tau) * norm.cdf(c2)
-        - sigma * norm.pdf(c2)
+        (mu - tau) * ndtr(-c1)
+        + sigma * _pdf(c1)
+        + (mu + tau) * ndtr(c2)
+        - sigma * _pdf(c2)
     )
 
 
@@ -267,14 +269,14 @@ def soft_threshold_second_moment(mu, sigma: float, tau: float):
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
     upper = (
-        (mu - tau) ** 2 * norm.sf(c1)
-        + 2.0 * (mu - tau) * sigma * norm.pdf(c1)
-        + sigma**2 * (norm.sf(c1) + c1 * norm.pdf(c1))
+        (mu - tau) ** 2 * ndtr(-c1)
+        + 2.0 * (mu - tau) * sigma * _pdf(c1)
+        + sigma**2 * (ndtr(-c1) + c1 * _pdf(c1))
     )
     lower = (
-        (mu + tau) ** 2 * norm.cdf(c2)
-        - 2.0 * (mu + tau) * sigma * norm.pdf(c2)
-        + sigma**2 * (norm.cdf(c2) - c2 * norm.pdf(c2))
+        (mu + tau) ** 2 * ndtr(c2)
+        - 2.0 * (mu + tau) * sigma * _pdf(c2)
+        + sigma**2 * (ndtr(c2) - c2 * _pdf(c2))
     )
     return upper + lower
 
@@ -283,7 +285,7 @@ def gauss_sq_indicator_mean(mu, sigma: float, tau: float):
     """E[ Z^2 1(|mu + sigma Z| > tau) ]."""
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
-    return (norm.sf(c1) + c1 * norm.pdf(c1)) + (norm.cdf(c2) - c2 * norm.pdf(c2))
+    return (ndtr(-c1) + c1 * _pdf(c1)) + (ndtr(c2) - c2 * _pdf(c2))
 
 
 # ---------------------------------------------------------------------------

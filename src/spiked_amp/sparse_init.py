@@ -105,12 +105,9 @@ def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
 class SplitRound:
     index_set: np.ndarray  # sorted np.intp indices
     complement: np.ndarray
-    v_sub: np.ndarray | None
-    v_j: np.ndarray | None
     x_j: np.ndarray | None
     score: float
     skipped: bool
-    degenerate_oracle: bool
     events: tuple[str, ...]
 
 
@@ -165,9 +162,7 @@ def sample_split_rounds(
             rounds.append(
                 SplitRound(
                     index_set=I, complement=Ic,
-                    v_sub=None, v_j=None, x_j=None,
-                    score=float("-inf"), skipped=True,
-                    degenerate_oracle=False, events=tuple(log),
+                    x_j=None, score=float("-inf"), skipped=True, events=tuple(log),
                 )
             )
             continue
@@ -181,9 +176,7 @@ def sample_split_rounds(
             rounds.append(
                 SplitRound(
                     index_set=I, complement=Ic,
-                    v_sub=est.vector, v_j=v_j, x_j=None,
-                    score=float("-inf"), skipped=True,
-                    degenerate_oracle=est.degenerate, events=tuple(log),
+                    x_j=None, score=float("-inf"), skipped=True, events=tuple(log),
                 )
             )
             continue
@@ -193,9 +186,7 @@ def sample_split_rounds(
         rounds.append(
             SplitRound(
                 index_set=I, complement=Ic,
-                v_sub=est.vector, v_j=v_j, x_j=x_j,
-                score=score, skipped=False,
-                degenerate_oracle=est.degenerate, events=tuple(log),
+                x_j=x_j, score=score, skipped=False, events=tuple(log),
             )
         )
     return rounds

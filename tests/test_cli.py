@@ -1,6 +1,10 @@
 """CLI entry point: exit codes, config resolution, CSV output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,11 @@ def test_sparse_subcommand(tmp_path):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # Importing scipy.stats takes longer than the rest of the package, which
+    # needs none of it: ndtr and ndtri come from scipy.special.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = 'import spiked_amp.cli, sys; assert "scipy.stats" not in sys.modules'
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

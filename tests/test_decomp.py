@@ -80,16 +80,15 @@ def test_extend_basis_degenerate_error():
 
 def test_projected_operator_annihilates_folded_directions(z2_run):
     model, _, ledger = z2_run
-    U = np.stack(ledger.basis, axis=1)
     for z in ledger.basis:
-        assert np.linalg.norm(decomp._apply_projected(model, U, z)) < 1e-12
+        assert np.linalg.norm(decomp._apply_projected(model, ledger.basis, z)) < 1e-12
 
 
 def test_projection_with_basis_vector_e1():
     # z_1 = e_1 makes the projected matrix's first row and column vanish.
     v = sa.make_signal(sa.SignalSpec(kind="z2", n=12, seed=1))
     model = sa.make_spiked(1.5, v, sa.sample_wigner(12, 1))
-    U = np.eye(12)[:, :1]
+    U = np.eye(12)[:1]
     W1 = np.column_stack([decomp._apply_projected(model, U, e) for e in np.eye(12)])
     assert np.max(np.abs(W1[0, :])) < 1e-14
     assert np.max(np.abs(W1[:, 0])) < 1e-14
@@ -158,6 +157,9 @@ def test_beta_norm_equals_denoised_norm(z2_run):
 def test_offsets_by_pipeline(z2_run, sparse_run):
     assert z2_run[2].offset == 1   # eta_0 proportional to x_1 seeds z_0
     assert sparse_run[2].offset == 0
+    # one row of basis and of phis per seeded vector and per record
+    for model, _, ledger in (z2_run, sparse_run):
+        assert ledger.basis.shape == ledger.phis.shape == (ledger.offset + len(ledger.xis), model.n)
 
 
 def test_base_case_xi1_plain(sparse_run):
@@ -330,15 +332,6 @@ def test_gaussianity_report_needs_two(sparse_run):
     assert len(ledger.phis) == 1
     with pytest.raises(ValueError):
         decomp.gaussianity_report(ledger)
-
-
-def test_build_ledger_explicit_seed_flag(z2_run):
-    # Forcing seed_basis_with_x1=False on a spectral run must still build,
-    # with offset 0; only the exactness of xi_1's span containment differs,
-    # which is precisely why the default inspects eta_0.
-    model, traj, _ = z2_run
-    ledger = decomp.build_ledger(model, traj, aux_seed=1, seed_basis_with_x1=True)
-    assert ledger.offset == 1
 
 
 def test_alpha_recompute_dual_route(z2_run):

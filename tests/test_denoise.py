@@ -94,16 +94,6 @@ def test_soft_threshold_derivative_matches_fd_off_kink():
     assert abs(denoise.derivative_avg(state, x) - _fd_derivative_avg(state, x)) < 1e-6
 
 
-def test_identity_family():
-    state = denoise.fit_identity()
-    x = np.array([1.0, -2.0])
-    out = denoise.apply(state, x)
-    np.testing.assert_array_equal(out, x)
-    out[0] = 5.0  # must be a copy, not a view
-    assert x[0] == 1.0
-    assert denoise.derivative_avg(state, x) == 1.0
-
-
 def test_unknown_family_rejected():
     bad = denoise.DenoiserState(family="banana")
     with pytest.raises(ValueError):
