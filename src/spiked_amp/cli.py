@@ -1,8 +1,10 @@
 """Command-line front end.
 
-One subcommand per experiment; every run resolves its config as
-subcommand defaults, then the optional JSON file, then explicit flags
-(flag wins).  Exit codes: 0 done, 2 config problem, 3 I/O problem.
+One subcommand per experiment.  Each offers --config, --out and the flags of
+the config keys its experiment reads (harness.READS); every run resolves its
+config as subcommand defaults, then the optional JSON file, then explicit
+flags (flag wins).  Exit codes: 0 done, 2 config problem (a flag or key the
+experiment does not read included), 3 I/O problem.
 """
 
 from __future__ import annotations
@@ -18,30 +20,13 @@ _DEFAULTS = {
     "sparse": {"experiment": "SparsePipeline", "n": 4000, "lambda": 1.0,
                "k": 20, "T": 10, "trials": 20, "seed": 1,
                "init": "independent"},
-    "se-scan": {"experiment": "SeScan", "seed": 1, "quantity": "fixed-point"},
-    "kappa-scan": {"experiment": "KappaScan", "seed": 1, "quantity": "kappa"},
+    "se-scan": {"experiment": "SeScan", "quantity": "fixed-point"},
+    "kappa-scan": {"experiment": "KappaScan", "quantity": "kappa"},
     "decomp-audit": {"experiment": "DecompAudit", "n": 2000, "lambda": 1.5,
                      "T": 10, "trials": 20, "seed": 1},
     "spectral": {"experiment": "SpectralCorrelation", "n": 2000,
                  "lambda": 1.5, "trials": 20, "seed": 1},
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    sub.add_argument("--n", type=int, help="problem dimension")
-    sub.add_argument("--lambda", type=float, dest="lam", help="signal strength")
-    sub.add_argument("--k", type=int, help="signal sparsity")
-    sub.add_argument("--T", type=int, help="AMP iterations")
-    sub.add_argument("--c-tau", type=float, help="soft-threshold constant")
-    sub.add_argument("--s-power", type=int, help="power-iteration steps")
-    sub.add_argument("--p-split", type=float, help="split inclusion probability")
-    sub.add_argument("--n-rounds", type=int, help="split rounds")
-    sub.add_argument("--init", help="sparse init: independent | split")
-    sub.add_argument("--quantity", help="scan quantity selector")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,26 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments for spiked-matrix AMP",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _DEFAULTS:
-        _add_common(subs.add_parser(name))
+    for name, defaults in _DEFAULTS.items():
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        for key in ("output_path", *harness.READS[defaults["experiment"]]):
+            want, flag, text = harness.CONFIG_KEYS[key]
+            sub.add_argument(flag, dest=key, type=want, help=text)
     return parser
-
-
-_OVERRIDE_KEYS = {
-    "seed": "seed",
-    "trials": "trials",
-    "n": "n",
-    "lam": "lambda",
-    "k": "k",
-    "T": "T",
-    "c_tau": "c_tau",
-    "s_power": "s_power",
-    "p_split": "p_split",
-    "n_rounds": "N_rounds",
-    "init": "init",
-    "quantity": "quantity",
-    "out": "output_path",
-}
 
 
 def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
@@ -83,18 +55,15 @@ def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
                 f"{args.command!r} subcommand expects {data['experiment']!r}"
             )
         data.update(file_data)
-    overrides = {
-        json_key: getattr(args, attr)
-        for attr, json_key in _OVERRIDE_KEYS.items()
-        if getattr(args, attr, None) is not None
-    }
+    overrides = {key: val for key, val in vars(args).items() if key in harness.CONFIG_KEYS}
     return harness.build_config(data, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise harness.ConfigError(f"{args.command} does not take {' '.join(unread)}")
         config = _resolve_config(args)
     except harness.ConfigError as exc:
         print(f"[config] {exc}", file=sys.stderr)
@@ -103,9 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[io] {exc}", file=sys.stderr)
         return 3
 
-    print(f"[run] {config.experiment} trials={config.trials} seed={config.seed}")
+    scan = config.experiment in ("SeScan", "KappaScan")  # they read no trials or seed
+    print(f"[run] {config.experiment}" + ("" if scan else f" trials={config.trials} seed={config.seed}"))
     try:
-        if config.experiment in ("SeScan", "KappaScan"):
+        if scan:
             rows: list = harness.run_scan(config)
             n_fail = sum(1 for r in rows if not r.pass_)
             print(f"[scan] rows={len(rows)} failing={n_fail}")

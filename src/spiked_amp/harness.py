@@ -1,6 +1,9 @@
 """Experiment orchestration: config, Monte Carlo trials, CSV emission.
 
-An ExperimentConfig names one of six experiments.  run_experiment executes
+An ExperimentConfig names one of six experiments.  CONFIG_KEYS is the config
+vocabulary; READS names the keys each experiment reads, and build_config
+refuses any other key, naming it, as it refuses values the run would reject
+later.  run_experiment executes
 the trial-based ones: Z2Pipeline, SparsePipeline and SpectralCorrelation give
 flat TrialRecord rows, DecompAudit gives one DecompRow per trial and ledger
 entry.  The two grid scans (SeScan, KappaScan) go through run_scan and return
@@ -63,15 +66,6 @@ __all__ = [
     "run_scan",
     "worker_count",
 ]
-
-EXPERIMENTS = (
-    "Z2Pipeline",
-    "SparsePipeline",
-    "SeScan",
-    "KappaScan",
-    "DecompAudit",
-    "SpectralCorrelation",
-)
 
 METRICS = frozenset(
     {
@@ -151,28 +145,39 @@ class SummaryRow(NamedTuple):
 # ---------------------------------------------------------------------------
 # configuration
 
-_JSON_KEYS = {
-    "experiment": str,
-    "n": int,
-    "lambda": float,
-    "k": int,
-    "T": int,
-    "trials": int,
-    "seed": int,
-    "c_tau": float,
-    "s_power": int,
-    "p_split": float,
-    "N_rounds": int,
-    "init": str,
-    "quantity": str,
-    "output_path": str,
+# JSON key -> (type, CLI flag, help); "experiment" is the CLI's subcommand
+CONFIG_KEYS = {
+    "experiment": (str, None, "experiment name"),
+    "output_path": (str, "--out", "CSV output path"),
+    "n": (int, "--n", "problem dimension"),
+    "lambda": (float, "--lambda", "signal strength"),
+    "k": (int, "--k", "signal sparsity"),
+    "T": (int, "--T", "AMP iterations"),
+    "trials": (int, "--trials", "number of Monte Carlo trials"),
+    "seed": (int, "--seed", "master seed (64-bit)"),
+    "s_power": (int, "--s-power", "power-iteration steps"),
+    "c_tau": (float, "--c-tau", "soft-threshold constant"),
+    "init": (str, "--init", "sparse init: independent | split"),
+    "p_split": (float, "--p-split", "split inclusion probability"),
+    "N_rounds": (int, "--n-rounds", "split rounds"),
+    "quantity": (str, "--quantity", "scan quantity selector"),
 }
+
+# the keys each experiment reads beyond "experiment" and "output_path"
+READS = {
+    "Z2Pipeline": ("n", "lambda", "T", "trials", "seed", "s_power"),
+    "SparsePipeline": ("n", "lambda", "k", "T", "trials", "seed", "c_tau",
+                       "init", "p_split", "N_rounds"),
+    "SeScan": ("quantity",),
+    "KappaScan": ("quantity",),
+    "DecompAudit": ("n", "lambda", "T", "trials", "seed", "s_power"),
+    "SpectralCorrelation": ("n", "lambda", "trials", "seed", "s_power"),
+}
+EXPERIMENTS = tuple(READS)
 
 _FIELD_FOR_KEY = {"lambda": "lam"}
 
 _SCAN_EXPERIMENTS = ("SeScan", "KappaScan")
-# experiments that start from spectral_init and so read s_power
-_SPECTRAL_EXPERIMENTS = ("Z2Pipeline", "DecompAudit", "SpectralCorrelation")
 
 
 def load_config(path: str) -> dict:
@@ -185,25 +190,30 @@ def load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     for key in data:
-        if key not in _JSON_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
     return data
 
 
 def build_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Merge JSON data with CLI overrides (override wins) and validate."""
+    """Merge JSON data with CLI overrides (override wins), refuse unread keys, validate."""
     merged = dict(data)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _JSON_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
         merged[key] = val
     if "experiment" not in merged:
         raise ConfigError("config is missing 'experiment'")
+    exp = merged["experiment"]
+    if exp not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {exp!r}")
     kwargs = {}
     for key, val in merged.items():
-        want = _JSON_KEYS[key]
+        if key not in ("experiment", "output_path", *READS[exp]):
+            raise ConfigError(f"{exp} does not read config key {key!r}")
+        want = CONFIG_KEYS[key][0]
         if want is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
         if not isinstance(val, want) or isinstance(val, bool):
@@ -233,17 +243,28 @@ def _validate(config: ExperimentConfig) -> None:
     exp = config.experiment
     if exp == "Z2Pipeline":
         _require(config, n=2, T=1)
-        if config.lam <= 1.0:
+        if not config.lam > 1.0:
             raise ConfigError("Z2Pipeline needs lambda > 1 (spectral regime)")
     elif exp == "SparsePipeline":
         _require(config, n=2, k=1, T=1)
-        if config.lam <= 0.0:
+        if config.k > config.n:
+            raise ConfigError(f"SparsePipeline needs k <= n, got k={config.k}, n={config.n}")
+        if not config.lam > 0.0:
             raise ConfigError("SparsePipeline needs lambda > 0")
+        if config.c_tau is not None and not config.c_tau >= 0.0:
+            raise ConfigError(f"SparsePipeline needs c_tau >= 0, got {config.c_tau}")
         if config.init not in ("", "independent", "split"):
             raise ConfigError(f"SparsePipeline init must be independent|split, got {config.init!r}")
+        if config.init == "split":
+            p, N, _ = _split_params(config)
+            if not (0.0 < p < 1.0 and p * config.n >= 2 and N >= 1):
+                raise ConfigError("split init needs 0 < p_split < 1, p_split * n >= 2 and N_rounds "
+                                  f">= 1, got p_split={p:.6g}, n={config.n}, N_rounds={N}")
+        elif config.p_split is not None or config.N_rounds is not None:
+            raise ConfigError("SparsePipeline reads p_split and N_rounds only with init 'split'")
     elif exp == "DecompAudit":
         _require(config, n=2, T=2)
-        if config.lam <= 1.0:
+        if not config.lam > 1.0:
             raise ConfigError("DecompAudit needs lambda > 1 (spectral regime)")
         if config.n < config.T:
             raise ConfigError(
@@ -252,7 +273,7 @@ def _validate(config: ExperimentConfig) -> None:
             )
     elif exp == "SpectralCorrelation":
         _require(config, n=2)
-        if config.lam <= 1.0:
+        if not config.lam > 1.0:
             raise ConfigError("SpectralCorrelation needs lambda > 1")
     elif exp == "SeScan":
         if config.quantity not in ("", "fixed-point", "identity"):
@@ -260,7 +281,7 @@ def _validate(config: ExperimentConfig) -> None:
     elif exp == "KappaScan":
         if config.quantity not in ("", "kappa", "t2"):
             raise ConfigError(f"KappaScan quantity must be kappa|t2, got {config.quantity!r}")
-    if exp in _SPECTRAL_EXPERIMENTS and config.s_power is not None and config.s_power < 1:
+    if config.s_power is not None and config.s_power < 1:
         raise ConfigError(f"{exp} needs s_power >= 1 power steps, got {config.s_power}")
 
 
@@ -307,6 +328,16 @@ def _trial_z2(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     return rows
 
 
+def _split_params(config: ExperimentConfig) -> tuple[float, int, float]:
+    """(p, N, tau1) of a split run: the defaults for (n, k) unless set."""
+    p, N, tau1 = sparse_init.default_split_params(config.n, config.k)
+    if config.p_split is not None:
+        p = config.p_split
+    if config.N_rounds is not None:
+        N = config.N_rounds
+    return p, N, tau1
+
+
 def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     config, tid = args
     tseed = derive_seed(config.seed, "trial", tid)
@@ -320,12 +351,7 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     rows: list[TrialRecord] = []
 
     if config.init == "split":
-        p, N, tau1 = sparse_init.default_split_params(n, k)
-        if config.p_split is not None:
-            p = config.p_split
-        if config.N_rounds is not None:
-            N = config.N_rounds
-        chosen, x1 = sparse_init.sample_split_init(model, p, N, tau1, tseed)
+        chosen, x1 = sparse_init.sample_split_init(model, *_split_params(config), tseed)
         Ic = chosen.complement
         v_c = v[Ic]
         nv = float(np.linalg.norm(v_c))
@@ -349,7 +375,7 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         se_ref = se.se_sparse_trajectory(
             alpha_start, run_model.v_star, tau, lam_eff, config.T + 1
         ).values
-    except (ValueError, se.DegenerateSeError):
+    except se.DegenerateSeError:
         se_ref = None  # split start can be too cold for the SE map
 
     v_run = run_model.v_star

@@ -299,7 +299,7 @@ def se_sparse_f(alpha: float, v_star: np.ndarray, tau_t: float, lam: float) -> f
     std 1/sqrt(n)) and are evaluated in closed form.
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise DegenerateSeError(f"alpha must be positive, got {alpha}")
     v = np.asarray(v_star, dtype=np.float64)
     n = v.shape[0]
     sigma = 1.0 / np.sqrt(n)

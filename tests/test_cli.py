@@ -1,7 +1,9 @@
 """CLI entry point: exit codes, config resolution, CSV output."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,15 +106,63 @@ def test_bad_flag_value_exits_2(capsys):
 @pytest.mark.parametrize("s_power", ["0", "-3"])
 def test_nonpositive_s_power_exits_2(command, s_power, capsys):
     # 0 is not "use the default", and -3 must not reach spectral_init
-    args = [command, "--n", "100", "--T", "3", "--trials", "1", "--s-power", s_power]
+    args = [command, "--n", "100", "--trials", "1", "--s-power", s_power]
+    if command != "spectral":  # spectral reads no T
+        args += ["--T", "3"]
     assert cli.main(args) == 2
     assert "s_power >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["z2", "--n", "100", "--T", "2", "--k", "5"], "--k"),
+        (["sparse", "--n", "100", "--k", "5", "--s-power", "3"], "--s-power"),
+        (["se-scan", "--seed", "3"], "--seed"),
+        (["kappa-scan", "--quantity", "t2", "--n", "100"], "--n"),
+        (["decomp-audit", "--n", "100", "--quantity", "kappa"], "--quantity"),
+        (["spectral", "--n", "100", "--T", "3"], "--T"),
+    ],
+    ids=["z2", "sparse", "se-scan", "kappa-scan", "decomp-audit", "spectral"],
+)
+def test_unread_flag_exits_2(args, flag, capsys):
+    # a flag the subcommand's experiment does not read is refused, not ignored
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and flag in err
+
+
+def test_unread_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "SeScan", "seed": 3}')
+    assert cli.main(["se-scan", "--config", str(cfg)]) == 2
+    assert "[config] SeScan does not read config key 'seed'" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_parser():
+    # the README's table of flags per subcommand is checked against the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        name, flags = line.strip("|").split("|")
+        documented[name.strip(" `")] = re.findall(r"`(--[\w-]+)`", flags)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        name: [opt for action in sub._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")]
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == offered
 
 
 def test_se_scan_csv_schema(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     assert cli.main(["se-scan", "--out", str(out)]) == 0
-    assert "[scan] rows=40 failing=0" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert text.startswith("[run] SeScan\n")  # a scan reads no trials or seed
+    assert "[scan] rows=40 failing=0" in text
     lines = out.read_text().splitlines()
     assert lines[0] == "lambda,tau,value,bound,pass"
     assert len(lines) == 41

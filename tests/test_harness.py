@@ -94,6 +94,28 @@ def test_build_config_int_to_float_coercion():
         ({"experiment": "SeScan", "quantity": "kappa"}, "quantity"),
         ({"experiment": "KappaScan", "quantity": "fixed-point"}, "quantity"),
         ({"experiment": "DecompAudit", "n": 100, "T": 1, "lambda": 1.5}, "T >= 2"),
+        ({"experiment": "Z2Pipeline", "n": 100, "T": 1, "lambda": float("nan")}, "lambda > 1"),
+        # keys the experiment does not read
+        ({"experiment": "SeScan", "seed": 3}, "'seed'"),
+        ({"experiment": "Z2Pipeline", "n": 100, "T": 1, "lambda": 1.5, "k": 5}, "'k'"),
+        ({"experiment": "SpectralCorrelation", "n": 100, "lambda": 1.5, "T": 3}, "'T'"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "init": "independent", "p_split": 0.5}, "only with init 'split'"),
+        # values the run would reject later
+        ({"experiment": "SparsePipeline", "n": 100, "k": 200, "T": 1, "lambda": 1.0},
+         "k <= n"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "c_tau": -1.0}, "c_tau >= 0"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "init": "split", "p_split": 1.5}, "p_split=1.5,"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "init": "split", "p_split": 0.01}, "p_split=0.01,"),
+        # the default p_split of (n, k) = (2, 2) is 0.9, and 0.9 * 2 < 2
+        ({"experiment": "SparsePipeline", "n": 2, "k": 2, "T": 1, "lambda": 1.0,
+          "init": "split"}, "p_split=0.9, n=2,"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "init": "split", "N_rounds": 0}, "N_rounds=0"),
+        ({"experiment": "Nope"}, "unknown experiment"),
     ],
 )
 def test_build_config_rejections(data, fragment):
@@ -269,6 +291,32 @@ def test_unexpected_trial_error_propagates(monkeypatch):
     )
     with pytest.raises(ValueError, match="synthetic bug"):
         run_experiment(config)
+
+
+SPARSE_SMALL = {"experiment": "SparsePipeline", "n": 200, "k": 10, "lambda": 2.0,
+                "T": 2, "trials": 1}
+
+
+def test_sparse_se_degeneracy_drops_tau_rows(monkeypatch):
+    # a state evolution that is undefined at the run's start is an outcome
+    def degenerate(*args):
+        raise se.DegenerateSeError("synthetic degenerate SE")
+
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    monkeypatch.setattr(se, "se_sparse_trajectory", degenerate)
+    names = {r.metric_name for r in run_experiment(build_config(dict(SPARSE_SMALL)))}
+    assert "tau_t" not in names and "l2_err" in names
+
+
+def test_sparse_se_value_error_propagates(monkeypatch):
+    # any other ValueError on the SE path (a shape bug, say) is a bug
+    def broken(*args):
+        raise ValueError("synthetic shape bug")
+
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    monkeypatch.setattr(se, "se_sparse_trajectory", broken)
+    with pytest.raises(ValueError, match="synthetic shape bug"):
+        run_experiment(build_config(dict(SPARSE_SMALL)))
 
 
 # ---------------------------------------------------------------------------

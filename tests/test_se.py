@@ -265,7 +265,7 @@ def test_se_sparse_trajectory_frozen(sparse_point):
 
 def test_se_sparse_f_rejects_bad_alpha(sparse_point):
     v, tau = sparse_point
-    with pytest.raises(ValueError):
+    with pytest.raises(se.DegenerateSeError, match="alpha must be positive"):
         se.se_sparse_f(0.0, v, tau, 1.0)
 
 
