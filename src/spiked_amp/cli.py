@@ -30,13 +30,17 @@ _DEFAULTS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviations (--lam is an unknown flag, not --lambda), and a bad
+    # value raises ArgumentError for main to report instead of exiting.
+    strict = {"allow_abbrev": False, "exit_on_error": False}
     parser = argparse.ArgumentParser(
         prog="spiked-amp",
         description="Monte Carlo experiments for spiked-matrix AMP",
+        **strict,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, defaults in _DEFAULTS.items():
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, **strict)
         sub.add_argument("--config", help="JSON config file; flags override it")
         for key in ("output_path", *harness.READS[defaults["experiment"]]):
             want, flag, text = harness.CONFIG_KEYS[key]
@@ -60,12 +64,12 @@ def _resolve_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
     try:
+        args, unread = _build_parser().parse_known_args(argv)
         if unread:
             raise harness.ConfigError(f"{args.command} does not take {' '.join(unread)}")
         config = _resolve_config(args)
-    except harness.ConfigError as exc:
+    except (argparse.ArgumentError, harness.ConfigError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -48,7 +48,7 @@ from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import default_power_steps, run_amp, spectral_init, top_eigenpair
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
-from .model import SignalSpec, SpikedModel, make_signal, make_spiked, sample_wigner
+from .model import SignalSpec, SpikedModel, _assemble, make_signal, sample_wigner
 
 __all__ = [
     "ConfigError",
@@ -283,15 +283,24 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"KappaScan quantity must be kappa|t2, got {config.quantity!r}")
     if config.s_power is not None and config.s_power < 1:
         raise ConfigError(f"{exp} needs s_power >= 1 power steps, got {config.s_power}")
+    for key in ("lambda", "c_tau", "p_split"):
+        val = getattr(config, _FIELD_FOR_KEY.get(key, key))
+        if val is not None and not np.isfinite(val):
+            raise ConfigError(f"{exp} needs a finite {key}, got {val!r}")
 
 
 # ---------------------------------------------------------------------------
 # per-trial pipelines (top level so the process pool can pickle them)
 
 
+def _build_model(config: ExperimentConfig, tseed: int, kind: str) -> SpikedModel:
+    # the spike goes into the fresh Wigner buffer: one n x n array per trial
+    v = make_signal(SignalSpec(kind=kind, n=config.n, k=config.k or None, seed=tseed))
+    return _assemble(config.lam, v, sample_wigner(config.n, tseed))
+
+
 def _z2_setup(config: ExperimentConfig, tseed: int):
-    v = make_signal(SignalSpec(kind="z2", n=config.n, seed=tseed))
-    model = make_spiked(config.lam, v, sample_wigner(config.n, tseed))
+    model = _build_model(config, tseed, "z2")
     s = config.s_power
     if s is None:
         s = default_power_steps(config.n, config.lam)
@@ -341,9 +350,9 @@ def _split_params(config: ExperimentConfig) -> tuple[float, int, float]:
 def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     config, tid = args
     tseed = derive_seed(config.seed, "trial", tid)
-    n, k, lam = config.n, config.k, config.lam
-    v = make_signal(SignalSpec(kind="sparse-dirac", n=n, k=k, seed=tseed))
-    model = make_spiked(lam, v, sample_wigner(n, tseed))
+    n, lam = config.n, config.lam
+    model = _build_model(config, tseed, "sparse-dirac")
+    v = model.v_star
     c_tau = config.c_tau if config.c_tau is not None else 2.0
     # Threshold scale follows the noise variance 1/n of the full matrix,
     # also when AMP runs on a sample-split complement block.

@@ -1,4 +1,9 @@
-"""Spiked Wigner instances: M = lam * v v^T + W with exact variance conventions."""
+"""Spiked Wigner instances: M = lam * v v^T + W with exact variance conventions.
+
+A model holds one n x n array.  sample_wigner fills a single buffer, and the
+spike is added into that buffer in row blocks, so building a model never
+holds a second n x n temporary.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +22,9 @@ __all__ = [
 ]
 
 _SIGNAL_KINDS = ("z2", "sparse-dirac", "sparse-gaussian", "custom")
+
+# rows (and columns) per block when mirroring W or adding the spike into it
+_BLOCK = 256
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -85,8 +93,16 @@ def sample_wigner(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = substream(seed, "wigner")
-    upper = np.triu(rng.standard_normal((n, n)) / np.sqrt(n), k=1)
-    w = upper + upper.T
+    w = rng.standard_normal((n, n))
+    w /= np.sqrt(n)
+    # mirror the upper triangle into the lower one tile by tile, so that no
+    # n x n temporary exists; a tile on the diagonal is mirrored row by row
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        for c in range(e, n, _BLOCK):
+            w[c:c + _BLOCK, b:e] = w[b:e, c:c + _BLOCK].T
+        for i in range(b + 1, e):
+            w[i, b:i] = w[b:i, i]
     w[np.diag_indices(n)] = rng.standard_normal(n) * np.sqrt(2.0 / n)
     return w
 
@@ -117,8 +133,15 @@ def make_signal(spec: SignalSpec) -> np.ndarray:
 
 def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
     """Assemble observed = lam * v v^T + noise; neither input is kept or frozen."""
+    return _assemble(lam, v_star, np.array(noise, dtype=np.float64))
+
+
+def _assemble(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
+    """make_spiked that adds the spike into `noise` itself and keeps it as M.
+
+    `noise` must be a writeable float64 array the caller gives up.
+    """
     v_star = np.array(v_star, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
     n = v_star.shape[0]
     if v_star.ndim != 1:
         raise ValueError("v_star must be a vector")
@@ -127,12 +150,13 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     nrm = np.linalg.norm(v_star)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"v_star must be unit norm, got ||v|| = {nrm!r}")
-    observed = lam * np.outer(v_star, v_star) + noise
+    for b in range(0, n, _BLOCK):
+        noise[b:b + _BLOCK] += lam * np.outer(v_star[b:b + _BLOCK], v_star)
     sparsity = int(np.count_nonzero(v_star))
     return SpikedModel(
         n=n,
         lam=float(lam),
         v_star=_freeze(v_star),
-        observed=_freeze(observed),
+        observed=_freeze(noise),
         sparsity=sparsity if sparsity < n else None,
     )

@@ -6,10 +6,17 @@ N-round random-split procedure (weak-SNR regime): estimate the spike on a
 random index block, propagate through the cross block, soft-threshold, and
 keep the round whose candidate scores highest on the complement block.
 
-The split rounds read the matrix only through _read_block, which appends a
-tag per access to the round's event log.  Tests use that log to check the
-independence ordering: the complement block M_{I^c,I^c} is untouched until
-the candidate x_j is already built.
+The split rounds read the matrix only through _read_block, which logs a tag
+for each phase of access in the round's event log, and each phase reads only
+the entries its output needs:
+
+  read:II          diag(M)[I], then the block M[J, J] of the oracle's
+                   selection J = I[sel], |J| <= 2 k_hint
+  read:IcI         M[I^c, J], because the oracle's estimate is zero off J
+  read:score_IcIc  M[I^c[S], I^c[S]] on the support S of the candidate x_j
+
+Tests use that log to check the independence ordering: the complement block
+M_{I^c,I^c} is untouched until the candidate x_j is already built.
 """
 
 from __future__ import annotations
@@ -54,7 +61,32 @@ def diag_max_init(M: np.ndarray) -> tuple[int, np.ndarray]:
 
 class OracleEstimate(NamedTuple):
     vector: np.ndarray
-    degenerate: bool
+
+
+def _oracle_selection(d: np.ndarray, k_hint: int) -> np.ndarray:
+    """Sorted positions of the 2*k_hint largest (signed) diagonal entries d."""
+    return np.sort(np.argsort(d)[::-1][: min(2 * k_hint, d.size)])
+
+
+def _block_power(B: np.ndarray) -> np.ndarray | None:
+    """Unit top eigenvector of B by power iteration; None when B @ y is zero.
+
+    Starts at the basis vector of B's largest |diagonal| entry, so the
+    result is deterministic.
+    """
+    y = np.zeros(B.shape[0])
+    y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
+    for step in range(200):
+        y_new = B @ y
+        nrm = float(np.linalg.norm(y_new))
+        if nrm == 0.0:
+            return None if step == 0 else y
+        y_new /= nrm
+        moved = min(np.linalg.norm(y_new - y), np.linalg.norm(y_new + y))
+        y = y_new
+        if moved < 1e-13:
+            break
+    return y
 
 
 def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
@@ -68,37 +100,21 @@ def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
 
     The power iteration starts at the basis vector of the block's largest
     |diagonal| entry, so the whole routine is deterministic.  An all-zero
-    matrix returns e_1 with the degenerate flag set.
+    block returns e_1.
     """
     m = M_sub.shape[0]
     if m < 1:
         raise ValueError("submatrix is empty")
     if k_hint < 1:
         raise ValueError("k_hint must be positive")
-    d = np.diagonal(M_sub)
-    sel = np.sort(np.argsort(d)[::-1][: min(2 * k_hint, m)])
-    B = M_sub[np.ix_(sel, sel)]
-    y = np.zeros(sel.size)
-    y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
-    degenerate = True
-    for _ in range(200):
-        y_new = B @ y
-        nrm = float(np.linalg.norm(y_new))
-        if nrm == 0.0:
-            break
-        y_new /= nrm
-        moved = min(np.linalg.norm(y_new - y), np.linalg.norm(y_new + y))
-        y = y_new
-        degenerate = False
-        if moved < 1e-13:
-            break
-    if degenerate:
-        out = np.zeros(m)
-        out[0] = 1.0
-        return OracleEstimate(vector=out, degenerate=True)
+    sel = _oracle_selection(np.diagonal(M_sub), k_hint)
+    y = _block_power(M_sub[np.ix_(sel, sel)])
     out = np.zeros(m)
-    out[sel] = y
-    return OracleEstimate(vector=out, degenerate=False)
+    if y is None:
+        out[0] = 1.0
+    else:
+        out[sel] = y
+    return OracleEstimate(vector=out)
 
 
 @dataclass(frozen=True)
@@ -111,9 +127,16 @@ class SplitRound:
     events: tuple[str, ...]
 
 
-def _read_block(M: np.ndarray, rows: np.ndarray, cols: np.ndarray, log: list[str], tag: str) -> np.ndarray:
-    log.append(tag)
-    return M[np.ix_(rows, cols)]
+def _read_block(M: np.ndarray, index: tuple, log: list[str], tag: str) -> np.ndarray:
+    """M[index], logged as `tag`; consecutive reads under one tag log it once.
+
+    `index` is (I, I) for the diagonal entries M[i, i], i in I, or
+    np.ix_(rows, cols) for a block.  The module docstring lists what each
+    tag reads.
+    """
+    if not log or log[-1] != tag:
+        log.append(tag)
+    return M[index]
 
 
 def default_split_params(n: int, k: int) -> tuple[float, int, float]:
@@ -166,10 +189,14 @@ def sample_split_rounds(
                 )
             )
             continue
-        M_II = _read_block(M, I, I, log, "read:II")
-        est = oracle_estimate(M_II, k_hint)
+        # the oracle on M_II, reading its diagonal and the selected block only
+        sel = _oracle_selection(_read_block(M, (I, I), log, "read:II"), k_hint)
+        J = I[sel]
+        y = _block_power(_read_block(M, np.ix_(J, J), log, "read:II"))
+        if y is None:  # all-zero block: the oracle's e_1, column I[0]
+            J, y = I[:1], np.ones(1)
         log.append("oracle")
-        v_j = _read_block(M, Ic, I, log, "read:IcI") @ est.vector
+        v_j = _read_block(M, np.ix_(Ic, J), log, "read:IcI") @ y
         x_raw = soft_threshold(v_j, tau1)
         nrm = float(np.linalg.norm(x_raw))
         if nrm == 0.0:
@@ -182,7 +209,9 @@ def sample_split_rounds(
             continue
         x_j = x_raw / nrm
         log.append("xj_built")
-        score = float(x_j @ _read_block(M, Ic, Ic, log, "read:score_IcIc") @ x_j)
+        S = np.flatnonzero(x_j)
+        x_S = x_j[S]
+        score = float(x_S @ _read_block(M, np.ix_(Ic[S], Ic[S]), log, "read:score_IcIc") @ x_S)
         rounds.append(
             SplitRound(
                 index_set=I, complement=Ic,

@@ -102,6 +102,27 @@ def test_bad_flag_value_exits_2(capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        (["z2", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["z2", "--n", "100", "--T", "2", "--trials", "1", "--lambda", "inf"], "finite lambda"),
+        (["sparse", "--n", "100", "--k", "5", "--T", "2", "--trials", "1", "--c-tau", "inf"],
+         "finite c_tau"),
+        (["sparse", "--n", "100", "--k", "5", "--T", "2", "--trials", "1", "--init", "split",
+          "--p-split", "inf"], "p_split=inf,"),
+        (["z2", "--n"], "argument --n: expected one argument"),
+        (["nope"], "invalid choice: 'nope'"),
+    ],
+    ids=["bad-type", "inf-lambda", "inf-c-tau", "inf-p-split", "missing-value", "bad-command"],
+)
+def test_refused_flag_values_exit_2(args, fragment, capsys):
+    # argparse reports through the [config] line and exit 2 instead of SystemExit
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and fragment in err
+
+
 @pytest.mark.parametrize("command", ["z2", "decomp-audit", "spectral"])
 @pytest.mark.parametrize("s_power", ["0", "-3"])
 def test_nonpositive_s_power_exits_2(command, s_power, capsys):
@@ -122,8 +143,12 @@ def test_nonpositive_s_power_exits_2(command, s_power, capsys):
         (["kappa-scan", "--quantity", "t2", "--n", "100"], "--n"),
         (["decomp-audit", "--n", "100", "--quantity", "kappa"], "--quantity"),
         (["spectral", "--n", "100", "--T", "3"], "--T"),
+        # no prefix matching: an ambiguous prefix and two unique ones
+        (["z2", "--n", "100", "--T", "2", "--s", "3"], "--s"),
+        (["spectral", "--n", "50", "--t", "1", "--lam", "1.5"], "--t 1 --lam"),
     ],
-    ids=["z2", "sparse", "se-scan", "kappa-scan", "decomp-audit", "spectral"],
+    ids=["z2", "sparse", "se-scan", "kappa-scan", "decomp-audit", "spectral",
+         "z2-ambiguous-prefix", "spectral-unique-prefixes"],
 )
 def test_unread_flag_exits_2(args, flag, capsys):
     # a flag the subcommand's experiment does not read is refused, not ignored

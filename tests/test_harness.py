@@ -116,6 +116,15 @@ def test_build_config_int_to_float_coercion():
         ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
           "init": "split", "N_rounds": 0}, "N_rounds=0"),
         ({"experiment": "Nope"}, "unknown experiment"),
+        # non-finite floats
+        ({"experiment": "Z2Pipeline", "n": 100, "T": 1, "lambda": float("inf")},
+         "finite lambda"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": float("inf")},
+         "finite lambda"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "c_tau": float("inf")}, "finite c_tau"),
+        ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
+          "init": "split", "p_split": float("inf")}, "p_split=inf,"),
     ],
 )
 def test_build_config_rejections(data, fragment):

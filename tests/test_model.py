@@ -1,12 +1,15 @@
 """Instance construction: noise law, signal recipes, assembled model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spiked_amp as sa
-from spiked_amp.model import SignalSpec
+from spiked_amp import harness
+from spiked_amp.model import SignalSpec, _assemble
 
 
 def test_wigner_symmetric_bitwise():
@@ -130,6 +133,53 @@ def test_make_spiked_assembles_exactly():
     np.testing.assert_array_equal(m.observed, 1.3 * np.outer(v, v) + W)
     assert m.n == 40 and m.lam == 1.3
     assert m.sparsity is None  # dense signal
+
+
+def test_assemble_adds_spike_in_place_bitwise():
+    # n = 513 leaves a short last row block
+    n = 513
+    v = sa.make_signal(SignalSpec(kind="sparse-dirac", n=n, k=40, seed=6))
+    W = sa.sample_wigner(n, 6)
+    want = 1.9 * np.outer(v, v) + W
+    m = _assemble(1.9, v, W)
+    assert m.observed is W
+    np.testing.assert_array_equal(m.observed, want)
+
+
+def test_make_spiked_leaves_noise_unchanged():
+    v = sa.make_signal(SignalSpec(kind="z2", n=300, seed=2))
+    W = sa.sample_wigner(300, 2)
+    before = W.copy()
+    m = sa.make_spiked(1.5, v, W)
+    np.testing.assert_array_equal(W, before)
+    assert not np.shares_memory(m.observed, W)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_wigner_peak_memory_one_buffer():
+    # the normals, their scaling and the mirroring share the result's buffer
+    n = 1000
+    peak, W = _peak_bytes(lambda: sa.sample_wigner(n, 4))
+    assert W.shape == (n, n)
+    assert peak <= 1.1 * 8 * n * n
+
+
+def test_harness_model_build_peak_memory():
+    # the trial's model is assembled in its fresh Wigner buffer
+    n = 2000
+    config = harness.build_config({"experiment": "Z2Pipeline", "n": n, "lambda": 1.5, "T": 1})
+    peak, m = _peak_bytes(lambda: harness._build_model(config, 7, "z2"))
+    assert m.observed.shape == (n, n)
+    assert peak <= 1.2 * 8 * n * n
 
 
 def test_make_spiked_sparsity_count():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import spiked_amp as sa
 from spiked_amp import sparse_init
+from spiked_amp._rng import substream
 from spiked_amp.denoise import soft_threshold
+from spiked_amp.model import SpikedModel
 
 
 def _sym_from(diag, off, n):
@@ -64,7 +66,6 @@ def test_oracle_noiseless_rank_one_mixed_signs():
     v = np.array([3.0, -4.0, 1.0, -2.0, 5.0])
     v /= np.linalg.norm(v)
     est = sparse_init.oracle_estimate(1.7 * np.outer(v, v), k_hint=5)
-    assert not est.degenerate
     err = min(np.linalg.norm(est.vector - v), np.linalg.norm(est.vector + v))
     assert err < 1e-8
     assert np.linalg.norm(est.vector) == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +73,6 @@ def test_oracle_noiseless_rank_one_mixed_signs():
 
 def test_oracle_zero_matrix_degenerate():
     est = sparse_init.oracle_estimate(np.zeros((4, 4)), k_hint=2)
-    assert est.degenerate
     np.testing.assert_array_equal(est.vector, [1.0, 0.0, 0.0, 0.0])
 
 
@@ -240,13 +240,114 @@ def test_round_parameter_validation(split_model, kwargs):
 
 def test_k_hint_default(split_model, monkeypatch):
     seen = []
-    real = sparse_init.oracle_estimate
+    real = sparse_init._oracle_selection
 
-    def spy(M_sub, k_hint):
+    def spy(d, k_hint):
         seen.append(k_hint)
-        return real(M_sub, k_hint)
+        return real(d, k_hint)
 
-    monkeypatch.setattr(sparse_init, "oracle_estimate", spy)
+    monkeypatch.setattr(sparse_init, "_oracle_selection", spy)
     sparse_init.sample_split_rounds(split_model, p=0.3, N=2, tau1=0.2, seed=5)
     want = max(1, round(split_model.sparsity * 0.3))
     assert seen == [want, want]
+
+
+# ---------------------------------------------------------------------------
+# split rounds read only the entries they use
+
+
+def _dense_rounds(model, p, N, tau1, seed, k_hint):
+    """The split rounds computed on whole blocks: the oracle on all of M_II,
+    the propagation through all of M_IcI, the score on all of M_IcIc."""
+    M, n = model.observed, model.n
+    out = []
+    for j in range(N):
+        mask = substream(seed, "split-round", j).random(n) < p
+        I, Ic = np.flatnonzero(mask), np.flatnonzero(~mask)
+        if I.size == 0 or Ic.size == 0:
+            out.append((I, Ic, None, float("-inf"), True, ()))
+            continue
+        est = sparse_init.oracle_estimate(M[np.ix_(I, I)], k_hint).vector
+        x_raw = soft_threshold(M[np.ix_(Ic, I)] @ est, tau1)
+        nrm = float(np.linalg.norm(x_raw))
+        if nrm == 0.0:
+            out.append((I, Ic, None, float("-inf"), True, ("read:II", "oracle", "read:IcI")))
+            continue
+        x_j = x_raw / nrm
+        score = float(x_j @ M[np.ix_(Ic, Ic)] @ x_j)
+        out.append((I, Ic, x_j, score, False,
+                    ("read:II", "oracle", "read:IcI", "xj_built", "read:score_IcIc")))
+    return out
+
+
+def _zero_oracle_block_model(n=60, p=0.5, seed=3):
+    # M_II = 0 for round 0, so the oracle falls back to e_1, column I[0]
+    mask = substream(seed, "split-round", 0).random(n) < p
+    I, Ic = np.flatnonzero(mask), np.flatnonzero(~mask)
+    M = np.zeros((n, n))
+    col = np.linspace(0.2, 1.0, Ic.size) * np.where(np.arange(Ic.size) % 2, 1.0, -1.0)
+    M[Ic, I[0]] = col
+    M[I[0], Ic] = col
+    return SpikedModel(n, 1.0, np.eye(n)[0], M), p, seed
+
+
+def test_split_rounds_match_dense_reference():
+    n, k = 400, 20
+    cases = []
+    for seed in range(6):
+        v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k, seed=seed))
+        model = sa.make_spiked(2 * k / np.sqrt(n), v, sa.sample_wigner(n, seed))
+        cases.append((model, 0.3, 8, 0.15, seed, 6))
+    model, p, seed = _zero_oracle_block_model()
+    cases.append((model, p, 1, 0.1, seed, 2))
+    live_rounds = 0
+    for model, p, N, tau1, seed, k_hint in cases:
+        rounds = sparse_init.sample_split_rounds(model, p, N, tau1, seed, k_hint=k_hint)
+        want = _dense_rounds(model, p, N, tau1, seed, k_hint)
+        for r, (I, Ic, x_j, score, skipped, events) in zip(rounds, want, strict=True):
+            np.testing.assert_array_equal(r.index_set, I)
+            np.testing.assert_array_equal(r.complement, Ic)
+            assert r.events == events and r.skipped == skipped
+            if skipped:
+                assert r.x_j is None and r.score == float("-inf")
+                continue
+            live_rounds += 1
+            np.testing.assert_allclose(r.x_j, x_j, rtol=0, atol=1e-14)
+            assert r.score == pytest.approx(score, rel=1e-13, abs=0)
+        live = [i for i, w in enumerate(want) if not w[4]]
+        assert live
+        best = max(live, key=lambda i: want[i][3])
+        assert max(live, key=lambda i: rounds[i].score) == best
+    assert live_rounds >= 30
+
+
+class _CountingMatrix(np.ndarray):
+    """Records the number of elements each indexing of the matrix gathers."""
+
+    gathered: list[int] = []
+
+    def __getitem__(self, index):
+        out = np.asarray(super().__getitem__(index))
+        _CountingMatrix.gathered.append(out.size)
+        return out
+
+
+def test_split_round_read_budget(split_model, monkeypatch):
+    # each live round gathers at most diag(M)[I], the (2 k_hint)^2 oracle
+    # block, the |Ic| x 2 k_hint propagation block and the |S|^2 score block
+    model = SpikedModel(split_model.n, split_model.lam, split_model.v_star,
+                        split_model.observed.view(_CountingMatrix), split_model.sparsity)
+    k_hint = 6
+    live = 0
+    for seed in range(6):
+        monkeypatch.setattr(_CountingMatrix, "gathered", [])
+        (r,) = sparse_init.sample_split_rounds(model, p=0.3, N=1, tau1=0.2, seed=seed,
+                                               k_hint=k_hint)
+        if r.skipped:
+            continue
+        live += 1
+        S = np.flatnonzero(r.x_j).size
+        budget = (r.index_set.size + (2 * k_hint) ** 2 + r.complement.size * 2 * k_hint
+                  + S * S)
+        assert sum(_CountingMatrix.gathered) <= budget
+    assert live >= 4
