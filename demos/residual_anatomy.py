@@ -65,7 +65,7 @@ def main() -> int:
     print("[driver] largest residual coordinates: "
           + ", ".join(f"z_{j}:{diag.mu[j]:+.3f}" for j in top))
 
-    rep = decomp.gaussianity_report(ledger)
+    rep = decomp.gaussianity_report(ledger, t=len(ledger.betas))
     rt = np.sqrt(args.n)
     print(f"[frame] max pairwise phi correlation {rep.max_phi_corr:.4f} "
           f"({rep.max_phi_corr * rt:.2f}/sqrt(n))")

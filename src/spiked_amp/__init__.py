@@ -15,7 +15,6 @@ from .amp import (
     amp_step,
     default_power_steps,
     run_amp,
-    sign_align,
     spectral_init,
     top_eigenpair,
 )

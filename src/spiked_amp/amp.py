@@ -29,7 +29,6 @@ __all__ = [
     "amp_step",
     "default_power_steps",
     "run_amp",
-    "sign_align",
     "spectral_init",
     "top_eigenpair",
 ]
@@ -141,15 +140,14 @@ def run_amp(
 class SpectralInit:
     """Output of the power-iteration initializer.
 
-    x1 is the unit-norm estimate a_s M^s v_tilde after s renormalized power
-    steps from the random unit start v_tilde, and a_s = 1 / ||M^s v_tilde||
-    (any SNR rescaling is the caller's job).  The eigenvalue estimate is not
-    part of the start; `top_eigenpair` refines x1 when it is needed.
+    x1 is M^s v_tilde normalized to unit length, computed by s renormalized
+    power steps from the random unit start v_tilde (any SNR rescaling is the
+    caller's job).  The eigenvalue estimate is not part of the start;
+    `top_eigenpair` refines x1 when it is needed.
     """
 
     x1: np.ndarray
     s: int
-    a_s: float
     v_tilde: np.ndarray
 
 
@@ -158,37 +156,26 @@ class TopEigenpair:
     """Top-eigenpair estimate from s further power steps after x1.
 
     vhat is the unit-norm iterate and lambda_max = vhat . M vhat its Rayleigh
-    quotient.  lambda_tilde back-solves the spike location from
-    lambda_max = lambda_tilde + 1/lambda_tilde and is NaN whenever
-    lambda_max < 2 (no real solution); check `valid`.
+    quotient.
     """
 
     lambda_max: float
-    lambda_tilde: float
     vhat: np.ndarray
-
-    @property
-    def valid(self) -> bool:
-        return np.isfinite(self.lambda_tilde)
 
 
 def default_power_steps(n: int, lam: float) -> int:
     """s = ceil(8 log n / (lam-1)^2), capped at n/4; defined for lam > 1."""
     if not lam > 1.0:
         raise ValueError(f"default_power_steps needs lam > 1 (spectral regime), got {lam!r}")
-    s = int(np.ceil(8.0 * np.log(n) / (lam - 1.0) ** 2))
+    # two divisions, not a square: a huge lam gives s = 1, not an OverflowError
+    s = int(np.ceil(8.0 * np.log(n) / (lam - 1.0) / (lam - 1.0)))
     return max(1, min(s, n // 4))
 
 
-def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, float]:
-    """s power steps from y, renormalized every step to avoid overflow.
-
-    Returns the unit iterate and the log of the product of the per-step
-    inverse norms, which is -log ||M^s y|| for a unit y.
-    """
+def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
+    """s power steps from y, renormalized every step to avoid overflow; the unit iterate."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    log_a = 0.0
     for step in range(1, s + 1):
         y = _symv(M, y)
         nrm = np.linalg.norm(y)
@@ -197,9 +184,8 @@ def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> tuple[np.ndarray, floa
                 f"power step {step} gave ||M y|| = 0 "
                 "(the start vector is in M's null space)"
             )
-        log_a -= np.log(nrm)
         y /= nrm
-    return y, log_a
+    return y
 
 
 def _check_square(M: np.ndarray) -> None:
@@ -210,17 +196,14 @@ def _check_square(M: np.ndarray) -> None:
 def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
     """s power steps from a random unit start: s matvecs.
 
-    a_s (the inverse of ||M^s v_tilde||) is recovered as the product of the
-    per-step inverse norms.  M must be symmetric; only its upper triangle is
-    read.
+    M must be symmetric; only its upper triangle is read.
     """
     _check_square(M)
     n = M.shape[0]
     rng = substream(seed, "spectral-start")
     v_tilde = rng.standard_normal(n)
     v_tilde /= np.linalg.norm(v_tilde)
-    x1, log_a = _power_steps(M, v_tilde, s)
-    return SpectralInit(x1=x1, s=s, a_s=float(np.exp(log_a)), v_tilde=v_tilde)
+    return SpectralInit(x1=_power_steps(M, v_tilde, s), s=s, v_tilde=v_tilde)
 
 
 def top_eigenpair(M: np.ndarray, x1: np.ndarray, s: int) -> TopEigenpair:
@@ -233,15 +216,5 @@ def top_eigenpair(M: np.ndarray, x1: np.ndarray, s: int) -> TopEigenpair:
     _check_square(M)
     if np.shape(x1) != (M.shape[0],):
         raise ValueError(f"dimension mismatch: M {M.shape}, x1 {np.shape(x1)}")
-    vhat, _ = _power_steps(M, x1, s)
-    lambda_max = float(vhat @ _symv(M, vhat))
-    if lambda_max >= 2.0:
-        lambda_tilde = (lambda_max + np.sqrt(lambda_max**2 - 4.0)) / 2.0
-    else:
-        lambda_tilde = float("nan")
-    return TopEigenpair(lambda_max=lambda_max, lambda_tilde=lambda_tilde, vhat=vhat)
-
-
-def sign_align(x: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    """Flip x so that x . v_star >= 0 (ties keep +x).  Evaluation-only."""
-    return -x if float(x @ v_star) < 0 else x
+    vhat = _power_steps(M, x1, s)
+    return TopEigenpair(lambda_max=float(vhat @ _symv(M, vhat)), vhat=vhat)

@@ -64,6 +64,9 @@ class LedgerInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecompositionLedger:
+    """A replayed run.  zeta_k's pieces, z_k . W_k z_k and the g drawn from
+    substream(aux_seed, "phi-g", k), are folded into phis[k], not stored."""
+
     basis: np.ndarray  # (K, n), row k is z_k; K = offset + records
     phis: np.ndarray  # (K, n), row k is phi_k
     xis: np.ndarray  # (records, n), row t - 1 is xi_t
@@ -72,9 +75,6 @@ class DecompositionLedger:
     xi_norms: list[float]
     leaks: list[float]
     offset: int  # seeded basis vectors in front of z_1
-    # raw pieces of each zeta_k, kept for the exact residual identities
-    gs: list[np.ndarray]
-    zwz: list[float]
 
 
 def _apply_projected(model: SpikedModel, U: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -103,7 +103,7 @@ def build_ledger(
     basis = np.empty((offset + records, n))
     phis = np.empty_like(basis)
     xis = np.empty((records, n))
-    alphas, betas, xi_norms, leaks, gs, zwz = [], [], [], [], [], []
+    alphas, betas, xi_norms, leaks = [], [], [], []
     for k, direction in enumerate(directions):
         # Gram-Schmidt against z_0..z_{k-1}; twice holds orthogonality at 1e-10
         U = basis[:k]
@@ -120,8 +120,6 @@ def build_ledger(
         q = float(z @ Wz)
         g = substream(aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(n), size=k)
         phis[k] = Wz + _DIAG_FIX * q * z + g @ U
-        gs.append(g)
-        zwz.append(q)
 
         # decompose x_{t+1} over the first offset + t = k + 1 basis vectors
         t = k + 1 - offset
@@ -143,7 +141,7 @@ def build_ledger(
         leaks.append(leak)
     return DecompositionLedger(
         basis=basis, phis=phis, xis=xis, alphas=alphas, betas=betas, xi_norms=xi_norms,
-        leaks=leaks, offset=offset, gs=gs, zwz=zwz,
+        leaks=leaks, offset=offset,
     )
 
 
@@ -168,44 +166,31 @@ def coordinate_w1(x: np.ndarray, var: float) -> float:
     return float(np.mean(np.abs(np.sort(x) - q)))
 
 
-def gaussianity_report(
-    ledger: DecompositionLedger, t: int | None = None
-) -> GaussianityReport:
-    """Correlation and W1 summaries of the synthesized phis.
+def gaussianity_report(ledger: DecompositionLedger, t: int) -> GaussianityReport:
+    """Correlation and W1 summaries of the synthesized phis at iteration t.
 
-    With t given, the report is restricted to the ledger's state just after
-    iteration t was recorded (first offset + t phis, beta_t for the mix);
-    default is the full ledger with the latest beta.
+    The report covers the ledger's state just after iteration t was recorded:
+    the first offset + t phis, and beta_t for the mix.  t = len(ledger.betas)
+    is the full ledger.
     """
-    if t is None:
-        upto = len(ledger.phis)
-        beta = ledger.betas[-1] if ledger.betas else None
-    else:
-        if t < 1 or t > len(ledger.betas):
-            raise ValueError(f"no recorded iteration {t}")
-        upto = ledger.offset + t
-        beta = ledger.betas[t - 1]
+    if t < 1 or t > len(ledger.betas):
+        raise ValueError(f"no recorded iteration {t}")
+    upto = ledger.offset + t
     if upto < 2:
         raise ValueError("need at least two phi vectors")
     Phi = ledger.phis[:upto]
-    n = Phi.shape[1]
+    beta = ledger.betas[t - 1]
     gram = Phi @ Phi.T
     off = gram[~np.eye(upto, dtype=bool)]
-    if beta is not None:
-        mixed = beta @ Phi[: beta.shape[0]] / np.linalg.norm(beta)
-        w1_mixed = coordinate_w1(mixed, 1.0 / n)
-    else:
-        w1_mixed = float("nan")
+    mixed = beta @ Phi / np.linalg.norm(beta)
     return GaussianityReport(
         max_phi_corr=float(np.max(np.abs(off))),
-        w1_mixed=w1_mixed,
+        w1_mixed=coordinate_w1(mixed, 1.0 / Phi.shape[1]),
     )
 
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
-    t: int
-    xi_norm: float
     delta_norm: float
     delta_prime_avg: float
     Delta_abs: float
@@ -239,13 +224,9 @@ def residual_diagnostics(
     eta_v_prime = denoise.derivative_avg(state, v_t)
     delta_prime = trajectory.onsager[t - 1] - eta_v_prime
 
-    xi = ledger.xis[t - 1]
-    xi_norm = ledger.xi_norms[t - 1]
-    mu = ledger.basis[:L] @ xi / xi_norm
+    mu = ledger.basis[:L] @ ledger.xis[t - 1] / ledger.xi_norms[t - 1]
     Delta = mu[:L_prev] @ (ledger.phis[:L_prev] @ eta_v - eta_v_prime * beta_prev)
     return ResidualDiagnostics(
-        t=t,
-        xi_norm=xi_norm,
         delta_norm=float(np.linalg.norm(delta)),
         delta_prime_avg=float(delta_prime),
         Delta_abs=abs(float(Delta)),

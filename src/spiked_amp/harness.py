@@ -287,6 +287,10 @@ def _validate(config: ExperimentConfig) -> None:
         val = getattr(config, _FIELD_FOR_KEY.get(key, key))
         if val is not None and not np.isfinite(val):
             raise ConfigError(f"{exp} needs a finite {key}, got {val!r}")
+    # ||x_1|| is about lambda, and the tanh fit takes sqrt(n (||x_t||^2 - 1))
+    lam = float(config.lam)
+    if exp not in _SCAN_EXPERIMENTS and not np.isfinite(lam * lam * config.n):
+        raise ConfigError(f"{exp} needs a finite lambda^2 * n, got lambda={lam!r}, n={config.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +596,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: list, path: str, row_type: type | None = None) -> None:
+def emit_csv(rows: list, path: str, row_type: type) -> None:
     """Write NamedTuple rows as CSV: 12 significant digits, "\\n" newlines.
 
-    row_type supplies the header when rows is empty; otherwise the first
-    row's class is used.  No locale, no quoting (the vocabulary is plain).
+    row_type, the rows' NamedTuple class, supplies the header.  No locale, no
+    quoting (the vocabulary is plain).
     """
-    if row_type is None:
-        if not rows:
-            raise ValueError("empty rows need an explicit row_type for the header")
-        row_type = type(rows[0])
     names = [_HEADER_ALIASES.get(f, f) for f in row_type._fields]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

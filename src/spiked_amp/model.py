@@ -21,7 +21,7 @@ __all__ = [
     "sample_wigner",
 ]
 
-_SIGNAL_KINDS = ("z2", "sparse-dirac", "sparse-gaussian", "custom")
+_SIGNAL_KINDS = ("z2", "sparse-dirac")
 
 # rows (and columns) per block when mirroring W or adding the spike into it
 _BLOCK = 256
@@ -36,16 +36,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class SignalSpec:
     """Recipe for a ground-truth signal vector.
 
-    kind is one of "z2" (entries +-1/sqrt(n)), "sparse-dirac" (k nonzeros of
-    equal magnitude 1/sqrt(k) with random signs), "sparse-gaussian" (k
-    standard-normal nonzeros, normalized), or "custom" (given nonzero values,
-    placed on a uniform random support and normalized).
+    kind is "z2" (entries +-1/sqrt(n)) or "sparse-dirac" (k nonzeros of equal
+    magnitude 1/sqrt(k) with random signs, on a uniform random support).
     """
 
     kind: str
     n: int
     k: int | None = None
-    magnitudes: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,11 +55,6 @@ class SignalSpec:
                 raise ValueError(f"kind {self.kind!r} requires k")
             if not 1 <= self.k <= self.n:
                 raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.kind == "custom":
-            if self.magnitudes is None or len(self.magnitudes) != self.k:
-                raise ValueError("custom kind requires k magnitudes")
-            if not any(m != 0.0 for m in self.magnitudes):
-                raise ValueError("custom magnitudes are all zero")
 
 
 @dataclass(frozen=True)
@@ -112,22 +104,10 @@ def make_signal(spec: SignalSpec) -> np.ndarray:
     rng = substream(spec.seed, "signal")
     n = spec.n
     if spec.kind == "z2":
-        v = rng.choice([-1.0, 1.0], size=n) / np.sqrt(n)
-        return v
-    k = spec.k
-    assert k is not None
-    support = np.sort(rng.choice(n, size=k, replace=False))
+        return rng.choice([-1.0, 1.0], size=n) / np.sqrt(n)
+    support = np.sort(rng.choice(n, size=spec.k, replace=False))
     v = np.zeros(n)
-    if spec.kind == "sparse-dirac":
-        v[support] = rng.choice([-1.0, 1.0], size=k) / np.sqrt(k)
-    elif spec.kind == "sparse-gaussian":
-        vals = rng.standard_normal(k)
-        while np.all(vals == 0.0):  # pragma: no cover
-            vals = rng.standard_normal(k)
-        v[support] = vals / np.linalg.norm(vals)
-    else:
-        vals = np.asarray(spec.magnitudes, dtype=np.float64)
-        v[support] = vals / np.linalg.norm(vals)
+    v[support] = rng.choice([-1.0, 1.0], size=spec.k) / np.sqrt(spec.k)
     return v
 
 

@@ -43,6 +43,13 @@ __all__ = [
 
 DEFAULT_ORDER = 201
 
+_TOL = 1e-12  # an SE run has converged once |tau_{t+1} - tau_t| < _TOL
+_MAX_ITER = 100_000  # steps before a fixed-point search gives up
+# the bound scans' grids: lambda in (1, 1.2], 200 tau values per lambda
+_LAMBDA_STEP = 0.005
+_LAMBDA_STOP = 1.2
+_TAU_POINTS = 200
+
 
 class ConvergenceFailureError(RuntimeError):
     pass
@@ -103,72 +110,52 @@ def se_z2_step(tau: float, lam: float, q: Quadrature) -> float:
     return lam * lam * gauss_expect(lambda z: np.tanh(tau + rt * z), q)
 
 
-def _iterate_se(
-    step: Callable[[float], float],
-    start: float,
-    tol: float,
-    max_iter: int,
-    max_values: int | None = None,
-) -> SeTrajectory:
+def _iterate_se(step: Callable[[float], float], start: float, max_iter: int) -> SeTrajectory:
     values = [start]
     prev_delta = 0.0
     damp = 1.0
-    converged = False
-    iters = 0
-    while iters < max_iter:
+    for _ in range(max_iter):
         cur = values[-1]
         delta = step(cur) - cur
         # Plain iteration suffices for a monotone contraction; halve the step
         # defensively if the update direction flips back and forth.
         if delta * prev_delta < 0:
             damp = 0.5
-        nxt = cur + damp * delta
-        iters += 1
-        values.append(nxt)
-        if abs(nxt - cur) < tol:
-            converged = True
-            break
+        values.append(cur + damp * delta)
+        if abs(values[-1] - cur) < _TOL:
+            return SeTrajectory(values=tuple(values), fixed_point=values[-1], converged=True)
         prev_delta = delta
-        if max_values is not None and len(values) >= max_values:
-            break
-    return SeTrajectory(
-        values=tuple(values),
-        fixed_point=values[-1] if converged else None,
-        converged=converged,
-    )
+    return SeTrajectory(values=tuple(values), fixed_point=None, converged=False)
 
 
-def _se_prefix(step: Callable[[float], float], start: float, tol: float, T: int) -> SeTrajectory:
+def _se_prefix(step: Callable[[float], float], start: float, T: int) -> SeTrajectory:
     """Exactly T values from start; a run that converges early repeats its last value."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    traj = _iterate_se(step, start, tol=tol, max_iter=T - 1, max_values=T)
+    traj = _iterate_se(step, start, max_iter=T - 1)
     values = traj.values + (traj.values[-1],) * (T - len(traj.values))
     return replace(traj, values=values)
 
 
-def se_z2_trajectory(lam: float, T: int, q: Quadrature, tol: float = 1e-12) -> SeTrajectory:
+def se_z2_trajectory(lam: float, T: int, q: Quadrature) -> SeTrajectory:
     """The sequence tau_1 .. tau_T from tau_1 = lam^2 - 1 (exactly T values)."""
     if lam <= 1.0:
         raise ValueError(f"need lam > 1 for a positive tau_1, got {lam}")
-    return _se_prefix(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0, tol, T)
+    return _se_prefix(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0, T)
 
 
-def se_z2_fixed_point(
-    lam: float, q: Quadrature, tol: float = 1e-12, max_iter: int = 100_000
-) -> SeTrajectory:
-    """Iterate from tau_1 = lam^2 - 1 until |tau_{t+1} - tau_t| < tol.
+def se_z2_fixed_point(lam: float, q: Quadrature) -> SeTrajectory:
+    """Iterate from tau_1 = lam^2 - 1 until |tau_{t+1} - tau_t| < 1e-12.
 
     The bound scans certify the map's contraction only for lam in (1, 1.2];
     larger lam still converges in practice and is accepted.
     """
     if lam <= 1.0:
         raise ValueError(f"need lam > 1, got {lam}")
-    traj = _iterate_se(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0,
-                       tol=tol, max_iter=max_iter)
+    traj = _iterate_se(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0, _MAX_ITER)
     if not traj.converged:
         raise ConvergenceFailureError(
-            f"no fixed point within {max_iter} iterations at lam={lam}"
+            f"no fixed point within {_MAX_ITER} iterations at lam={lam}"
         )
     return traj
 
@@ -225,14 +212,14 @@ def t2_bound_z2(lam: float) -> float:
     return 1.0 - (lam - 1.0)
 
 
-def lambda_grid_z2(step: float = 0.005, stop: float = 1.2) -> np.ndarray:
-    """Grid over (1, stop] used by the bound scans (endpoints included)."""
-    count = int(round((stop - 1.0) / step))
-    return 1.0 + step * np.arange(1, count + 1)
+def lambda_grid_z2() -> np.ndarray:
+    """Grid over (1, 1.2] used by the bound scans (endpoints included)."""
+    count = int(round((_LAMBDA_STOP - 1.0) / _LAMBDA_STEP))
+    return 1.0 + _LAMBDA_STEP * np.arange(1, count + 1)
 
 
-def tau_grid_z2(lam: float, points: int = 200) -> np.ndarray:
-    return np.linspace(lam * lam - 1.0, lam * lam, points)
+def tau_grid_z2(lam: float) -> np.ndarray:
+    return np.linspace(lam * lam - 1.0, lam * lam, _TAU_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +301,14 @@ def se_sparse_f(alpha: float, v_star: np.ndarray, tau_t: float, lam: float) -> f
 
 
 def se_sparse_trajectory(
-    alpha_start: float,
-    v_star: np.ndarray,
-    tau_t: float,
-    lam: float,
-    T: int,
-    tol: float = 1e-12,
+    alpha_start: float, v_star: np.ndarray, tau_t: float, lam: float, T: int
 ) -> SeTrajectory:
     """Iterate f from the supplied starting value (exactly T values).
 
     The starting value is an input because the theory only pins it up to a
     constant factor of lam; callers couple it to their initialization.
     """
-    return _se_prefix(lambda a: se_sparse_f(a, v_star, tau_t, lam), alpha_start, tol, T)
+    return _se_prefix(lambda a: se_sparse_f(a, v_star, tau_t, lam), alpha_start, T)
 
 
 def kappa2_sparse(

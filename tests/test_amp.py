@@ -81,13 +81,13 @@ def test_run_amp_rejects_bad_T():
 
 
 def test_spectral_init_reconstruction():
-    # a_s M^s v_tilde must land back on x1; small s, direct matvec oracle.
+    # M^s v_tilde, normalized, must land back on x1; small s, direct matvec oracle.
     model = _z2_model(60, 1.5, 5)
     init = sa.spectral_init(model.observed, 7, 5)
     y = init.v_tilde.copy()
     for _ in range(7):
         y = model.observed @ y
-    np.testing.assert_allclose(init.a_s * y, init.x1, atol=1e-10)
+    np.testing.assert_allclose(y / np.linalg.norm(y), init.x1, atol=1e-10)
     assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-10
 
 
@@ -99,22 +99,6 @@ def test_spectral_lambda_max_vs_eigh():
     eig = sa.top_eigenpair(model.observed, init.x1, init.s)
     top = np.linalg.eigvalsh(model.observed)[-1]
     assert abs(eig.lambda_max - top) < 1e-9
-    assert eig.valid
-    # back-solved lambda_tilde satisfies its defining equation exactly
-    assert eig.lambda_tilde + 1.0 / eig.lambda_tilde == pytest.approx(
-        eig.lambda_max, abs=1e-12
-    )
-
-
-def test_spectral_lambda_tilde_nan_below_bulk_edge():
-    # Pure noise at n=40 keeps lambda_max below 2 (frozen seeds verified),
-    # so the quadratic has no real root and the field must be NaN.
-    W = sa.sample_wigner(40, 3)
-    init = sa.spectral_init(W, 30, 3)
-    eig = sa.top_eigenpair(W, init.x1, init.s)
-    assert eig.lambda_max < 2.0
-    assert np.isnan(eig.lambda_tilde)
-    assert not eig.valid
 
 
 def test_power_start_and_refinement_matvec_counts(monkeypatch):
@@ -171,6 +155,8 @@ def test_default_power_steps():
     )
     # the n/4 cap engages for lam close to 1
     assert amp.default_power_steps(100, 1.01) == 25
+    # a huge lam gives one step instead of overflowing (lam - 1)^2
+    assert amp.default_power_steps(100, 1e155) == 1
     # below the spectral threshold the formula has no meaning
     for lam in (1.0, 0.5, float("nan")):
         with pytest.raises(ValueError, match="lam > 1"):
@@ -199,14 +185,6 @@ def test_top_eigenpair_rejects_mismatched_x1():
 
 
 def test_spectral_rejects_vanishing_power_step():
-    # M y = 0 would take log(0); it is a named failure instead
+    # M y = 0 cannot be renormalized; it is a named failure instead
     with pytest.raises(ValueError, match="power step 1"):
         sa.spectral_init(np.zeros((4, 4)), 3, 1)
-
-
-def test_sign_align():
-    v = np.array([1.0, 0.0])
-    assert amp.sign_align(np.array([-2.0, 1.0]), v)[0] == 2.0
-    assert amp.sign_align(np.array([2.0, 1.0]), v)[0] == 2.0
-    # tie (orthogonal) keeps +x
-    assert amp.sign_align(np.array([0.0, 1.0]), v)[1] == 1.0

@@ -113,8 +113,19 @@ def test_bad_flag_value_exits_2(capsys):
           "--p-split", "inf"], "p_split=inf,"),
         (["z2", "--n"], "argument --n: expected one argument"),
         (["nope"], "invalid choice: 'nope'"),
+        # lambda^2 n = 1e310 overflows; ||x_1|| is about lambda, so the tanh
+        # fit's sqrt(n (||x_t||^2 - 1)) would be inf
+        (["z2", "--n", "100", "--T", "3", "--trials", "1", "--lambda", "1e154"],
+         "finite lambda^2 * n"),
+        (["decomp-audit", "--n", "100", "--T", "3", "--trials", "1", "--lambda", "1e154"],
+         "finite lambda^2 * n"),
+        (["spectral", "--n", "100", "--trials", "1", "--lambda", "1e154"], "finite lambda^2 * n"),
+        (["sparse", "--n", "100", "--k", "5", "--T", "3", "--trials", "1", "--lambda", "1e154"],
+         "finite lambda^2 * n"),
     ],
-    ids=["bad-type", "inf-lambda", "inf-c-tau", "inf-p-split", "missing-value", "bad-command"],
+    ids=["bad-type", "inf-lambda", "inf-c-tau", "inf-p-split", "missing-value", "bad-command",
+         "z2-huge-lambda", "decomp-audit-huge-lambda", "spectral-huge-lambda",
+         "sparse-huge-lambda"],
 )
 def test_refused_flag_values_exit_2(args, fragment, capsys):
     # argparse reports through the [config] line and exit 2 instead of SystemExit

@@ -18,10 +18,23 @@ from scipy import stats
 
 import spiked_amp as sa
 from spiked_amp import decomp, denoise
+from spiked_amp._rng import substream
 
 SQ2H = np.sqrt(2.0) / 2.0 - 1.0
 
+# the aux_seed each conftest fixture builds its ledger with
+Z2_AUX, SPARSE_AUX = 4242, 777
+
 _apply_projected = decomp._apply_projected
+
+
+def _zeta_parts(model, ledger, aux_seed):
+    """The raw pieces of every zeta_k, recomputed: g_k and q_k = z_k . W_k z_k."""
+    gs, zwz = [], []
+    for k, z in enumerate(ledger.basis):
+        gs.append(substream(aux_seed, "phi-g", k).normal(0.0, 1.0 / np.sqrt(model.n), size=k))
+        zwz.append(float(z @ _apply_projected(model, ledger.basis[:k], z)))
+    return gs, zwz
 
 
 def _leaky_projection(model, U, z):
@@ -29,7 +42,7 @@ def _leaky_projection(model, U, z):
     return _apply_projected(model, U, z) + 0.05 * np.ones(model.n)
 
 
-def _coordinate_identity_err(ledger, traj, t):
+def _coordinate_identity_err(ledger, traj, t, gs, zwz):
     """Worst |xi_t . z_j - predicted| over ledger entries j, from scratch."""
     L = ledger.offset + t
     eta_t = traj.denoised[t - 1]
@@ -41,14 +54,14 @@ def _coordinate_identity_err(ledger, traj, t):
     for j in range(L):
         z_j = ledger.basis[j]
         if j == L - 1:
-            pred = -SQ2H * beta[j] * ledger.zwz[j]
+            pred = -SQ2H * beta[j] * zwz[j]
         else:
             pred = (
                 float(ledger.phis[j] @ eta_t)
                 - b_t * float(z_j @ eta_prev)
-                - (np.sqrt(2.0) - 1.0) * beta[j] * ledger.zwz[j]
-                - sum(beta[i] * ledger.gs[j][i] for i in range(j))
-                - sum(beta[i] * ledger.gs[i][j] for i in range(j + 1, L))
+                - (np.sqrt(2.0) - 1.0) * beta[j] * zwz[j]
+                - sum(beta[i] * gs[j][i] for i in range(j))
+                - sum(beta[i] * gs[i][j] for i in range(j + 1, L))
             )
         worst = max(worst, abs(float(xi @ z_j) - pred))
     return worst
@@ -97,29 +110,32 @@ def test_projection_with_basis_vector_e1():
 def test_phi_recomputes_from_parts(z2_run):
     # phi_k = W_k z_k + zeta_k for every k, against a dense
     # W_k = (I - U U^T) W (I - U U^T) with U = [z_0 .. z_{k-1}], and zeta_k
-    # from the stored q and g values.  W is resampled with the fixture's seed.
+    # from the recomputed q and g values.  W is resampled with the fixture's seed.
     model, _, ledger = z2_run
     n = model.n
+    gs, zwz = _zeta_parts(model, ledger, Z2_AUX)
     W = sa.sample_wigner(n, 7)
     np.testing.assert_array_equal(model.observed, model.lam * np.outer(model.v_star, model.v_star) + W)
     for k, z in enumerate(ledger.basis):
         U = np.stack(ledger.basis[:k], axis=1) if k else np.zeros((n, 0))
         P = np.eye(n) - U @ U.T
         Wz = P @ W @ P @ z
-        assert abs(ledger.zwz[k] - float(z @ Wz)) < 1e-12
-        want = Wz + SQ2H * ledger.zwz[k] * z
+        assert abs(zwz[k] - float(z @ Wz)) < 1e-12
+        want = Wz + SQ2H * zwz[k] * z
         for i in range(k):
-            want = want + ledger.gs[k][i] * ledger.basis[i]
+            want = want + gs[k][i] * ledger.basis[i]
         np.testing.assert_allclose(ledger.phis[k], want, atol=1e-12)
 
 
 def test_aux_stream_reproducible(z2_run):
-    _, _, ledger = z2_run
+    # the last phi, rebuilt with its g drawn afresh from the aux substream,
+    # is bit-identical to the stored one
+    model, _, ledger = z2_run
     k = len(ledger.basis) - 1
-    from spiked_amp._rng import substream
-
-    g = substream(4242, "phi-g", k).normal(0.0, 1.0 / np.sqrt(400), size=k)
-    np.testing.assert_array_equal(ledger.gs[k], g)
+    z, U = ledger.basis[k], ledger.basis[:k]
+    g = substream(Z2_AUX, "phi-g", k).normal(0.0, 1.0 / np.sqrt(400), size=k)
+    Wz = _apply_projected(model, U, z)
+    np.testing.assert_array_equal(ledger.phis[k], Wz + SQ2H * float(z @ Wz) * z + g @ U)
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +180,28 @@ def test_offsets_by_pipeline(z2_run, sparse_run):
 
 def test_base_case_xi1_plain(sparse_run):
     # eta_0 = 0 run: xi_1 = -beta_1^1 zeta_1 with nothing else left over.
-    _, _, ledger = sparse_run
-    zeta0 = SQ2H * ledger.zwz[0] * ledger.basis[0]
+    model, _, ledger = sparse_run
+    _, zwz = _zeta_parts(model, ledger, SPARSE_AUX)
+    zeta0 = SQ2H * zwz[0] * ledger.basis[0]
     want = -ledger.betas[0][0] * zeta0
     assert np.linalg.norm(ledger.xis[0] - want) < 1e-12
 
 
 def test_coordinate_identity_spectral(z2_run):
-    _, traj, ledger = z2_run
+    model, traj, ledger = z2_run
+    gs, zwz = _zeta_parts(model, ledger, Z2_AUX)
     worst = max(
-        _coordinate_identity_err(ledger, traj, t)
+        _coordinate_identity_err(ledger, traj, t, gs, zwz)
         for t in range(1, len(ledger.xis) + 1)
     )
     assert worst < 1e-12
 
 
 def test_coordinate_identity_plain(sparse_run):
-    _, traj, ledger = sparse_run
+    model, traj, ledger = sparse_run
+    gs, zwz = _zeta_parts(model, ledger, SPARSE_AUX)
     worst = max(
-        _coordinate_identity_err(ledger, traj, t)
+        _coordinate_identity_err(ledger, traj, t, gs, zwz)
         for t in range(1, len(ledger.xis) + 1)
     )
     assert worst < 1e-12
@@ -235,9 +254,10 @@ def test_residual_diagnostics_consistency(z2_run):
 
 def test_norm_identity_regrouped(z2_run, sparse_run):
     # ||xi_t|| equals the regrouped sum of its driving terms, exactly.
-    # This exercises every stored object at once: phis, zeta_k via zwz,
-    # auxiliary g's, betas at two times, the Onsager split and Delta_t.
-    for model, traj, ledger in (z2_run, sparse_run):
+    # This exercises every stored object at once: phis, betas at two times,
+    # the Onsager split and Delta_t, with zeta_k rebuilt from zwz and the g's.
+    for (model, traj, ledger), aux_seed in ((z2_run, Z2_AUX), (sparse_run, SPARSE_AUX)):
+        gs, zwz = _zeta_parts(model, ledger, aux_seed)
         for t in range(2, len(ledger.xis) + 1):
             L = ledger.offset + t
             L_prev = L - 1
@@ -265,14 +285,14 @@ def test_norm_identity_regrouped(z2_run, sparse_run):
                 mu[k] * (float(ledger.phis[k] @ eta_v) - evp * beta_prev[k])
                 for k in range(L_prev)
             )
-            total = Delta - SQ2H * beta[L - 1] * mu[L - 1] * ledger.zwz[L - 1]
+            total = Delta - SQ2H * beta[L - 1] * mu[L - 1] * zwz[L - 1]
             for j in range(L_prev):
                 total += mu[j] * (
                     float(ledger.phis[j] @ delta)
                     - dp * beta_prev[j]
-                    - (np.sqrt(2.0) - 1.0) * beta[j] * ledger.zwz[j]
-                    - sum(beta[i] * ledger.gs[j][i] for i in range(j))
-                    - sum(beta[i] * ledger.gs[i][j] for i in range(j + 1, L))
+                    - (np.sqrt(2.0) - 1.0) * beta[j] * zwz[j]
+                    - sum(beta[i] * gs[j][i] for i in range(j))
+                    - sum(beta[i] * gs[i][j] for i in range(j + 1, L))
                 )
             assert abs(total - nrm) < 1e-12, f"t={t}: {abs(total - nrm):.2e}"
 
@@ -302,7 +322,7 @@ def test_coordinate_w1_shift_oracle():
 
 def test_gaussianity_report_fields(z2_run):
     _, _, ledger = z2_run
-    rep = decomp.gaussianity_report(ledger)
+    rep = decomp.gaussianity_report(ledger, t=len(ledger.betas))
     n = 400
     # healthy band for this fixture: fresh Gaussian coordinates sit near
     # 0.05/sqrt(n); the spectrally seeded phi_0 carries eigenvector
@@ -331,7 +351,7 @@ def test_gaussianity_report_needs_two(sparse_run):
     ledger = decomp.build_ledger(model, short, aux_seed=0)
     assert len(ledger.phis) == 1
     with pytest.raises(ValueError):
-        decomp.gaussianity_report(ledger)
+        decomp.gaussianity_report(ledger, t=len(ledger.betas))
 
 
 def test_alpha_recompute_dual_route(z2_run):

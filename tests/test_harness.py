@@ -405,7 +405,7 @@ def test_aggregate_empty_rejected():
 
 def test_emit_csv_headers_and_values(tmp_path):
     path = str(tmp_path / "scan.csv")
-    emit_csv([ScanRow(1.5, 1.25, 0.123456789012345, 1.0, 1)], path)
+    emit_csv([ScanRow(1.5, 1.25, 0.123456789012345, 1.0, 1)], path, ScanRow)
     lines = open(path).read().splitlines()
     assert lines[0] == "lambda,tau,value,bound,pass"
     cells = lines[1].split(",")
@@ -416,7 +416,7 @@ def test_emit_csv_headers_and_values(tmp_path):
 def test_emit_csv_trial_round_trip(tmp_path):
     path = str(tmp_path / "trial.csv")
     rows = [TrialRecord(0, 1, "alpha", np.pi), TrialRecord(0, 2, "alpha", 1e-13)]
-    emit_csv(rows, path)
+    emit_csv(rows, path, TrialRecord)
     lines = open(path).read().splitlines()
     assert lines[0] == "trial_id,t,metric_name,value"
     for line, row in zip(lines[1:], rows):
@@ -435,14 +435,9 @@ def test_emit_csv_empty_with_type(tmp_path):
     )
 
 
-def test_emit_csv_empty_without_type(tmp_path):
-    with pytest.raises(ValueError):
-        emit_csv([], str(tmp_path / "x.csv"))
-
-
 def test_emit_csv_bad_path(tmp_path):
     with pytest.raises(OSError, match="no/such"):
-        emit_csv([ScanRow(1, 1, 1, 1, 1)], str(tmp_path / "no" / "such" / "x.csv"))
+        emit_csv([ScanRow(1, 1, 1, 1, 1)], str(tmp_path / "no" / "such" / "x.csv"), ScanRow)
 
 
 def test_emit_csv_large_is_fast(tmp_path):
@@ -450,7 +445,7 @@ def test_emit_csv_large_is_fast(tmp_path):
 
     rows = [TrialRecord(i, i % 7, "alpha", i * 0.001) for i in range(100_000)]
     t0 = time.perf_counter()
-    emit_csv(rows, str(tmp_path / "big.csv"))
+    emit_csv(rows, str(tmp_path / "big.csv"), TrialRecord)
     assert time.perf_counter() - t0 < 5.0
 
 
