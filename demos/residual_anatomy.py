@@ -27,7 +27,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=args.n, seed=args.seed))
+    v = sa.make_signal(kind="z2", n=args.n, seed=args.seed)
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
     init = sa.spectral_init(model.observed, sa.default_power_steps(args.n, args.lam),
                             args.seed)

@@ -30,8 +30,7 @@ def main() -> int:
     args = ap.parse_args()
 
     lam = args.lam if args.lam > 0 else 2.0 * args.k / np.sqrt(args.n)
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=args.n, k=args.k,
-                                     seed=args.seed))
+    v = sa.make_signal(kind="sparse-dirac", n=args.n, k=args.k, seed=args.seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(args.n, args.seed))
     p, N, tau1 = sa.default_split_params(args.n, args.k)
     if args.rounds > 0:
@@ -49,9 +48,9 @@ def main() -> int:
         print(f"[round {j}] |I|={len(r.index_set)} score={r.score:+.4f} "
               f"overlap={overlap:.3f}  events: {' -> '.join(r.events)}")
 
-    best, x_j = sa.sample_split_init(model, p, N, tau1, args.seed)
+    best = sa.sample_split_init(model, p, N, tau1, args.seed)
     v_c = v[best.complement]
-    overlap = abs(float(x_j @ v_c)) / np.linalg.norm(v_c)
+    overlap = abs(float(best.x_j @ v_c)) / np.linalg.norm(v_c)
     print(f"[winner] score={best.score:+.4f} overlap={overlap:.3f} on a "
           f"{len(best.complement)}-coordinate complement block")
     print("[done] scores were only ever read after xj_built in every round")

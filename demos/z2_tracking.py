@@ -30,7 +30,7 @@ def main() -> int:
         print("[error] need lambda > 1 for an informative spectral start", file=sys.stderr)
         return 2
 
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=args.n, seed=args.seed))
+    v = sa.make_signal(kind="z2", n=args.n, seed=args.seed)
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
     s = sa.default_power_steps(args.n, args.lam)
     init = sa.spectral_init(model.observed, s, args.seed)

@@ -49,7 +49,7 @@ from .harness import (
     run_experiment,
     run_scan,
 )
-from .model import SignalSpec, SpikedModel, make_signal, make_spiked, sample_wigner
+from .model import SpikedModel, make_signal, make_spiked, sample_wigner
 from .se import (
     Quadrature,
     SeTrajectory,
@@ -72,4 +72,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

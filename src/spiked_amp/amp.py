@@ -178,7 +178,10 @@ def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
         raise ValueError("s must be >= 1")
     for step in range(1, s + 1):
         y = _symv(M, y)
-        nrm = np.linalg.norm(y)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            nrm = denoise._scaled_norm(y)
+        if not np.isfinite(nrm):
+            raise ValueError(f"power step {step} overflowed: ||M y|| = {nrm!r} is not finite")
         if nrm == 0.0:
             raise ValueError(
                 f"power step {step} gave ||M y|| = 0 "

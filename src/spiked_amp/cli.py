@@ -18,10 +18,9 @@ _DEFAULTS = {
     "z2": {"experiment": "Z2Pipeline", "n": 2000, "lambda": 1.5, "T": 15,
            "trials": 20, "seed": 1},
     "sparse": {"experiment": "SparsePipeline", "n": 4000, "lambda": 1.0,
-               "k": 20, "T": 10, "trials": 20, "seed": 1,
-               "init": "independent"},
-    "se-scan": {"experiment": "SeScan", "quantity": "fixed-point"},
-    "kappa-scan": {"experiment": "KappaScan", "quantity": "kappa"},
+               "k": 20, "T": 10, "trials": 20, "seed": 1},
+    "se-scan": {"experiment": "SeScan"},
+    "kappa-scan": {"experiment": "KappaScan"},
     "decomp-audit": {"experiment": "DecompAudit", "n": 2000, "lambda": 1.5,
                      "T": 10, "trials": 20, "seed": 1},
     "spectral": {"experiment": "SpectralCorrelation", "n": 2000,

@@ -47,15 +47,21 @@ class DenoiserState:
     tau: float = 0.0
 
 
-def _inverse_norm(v: np.ndarray, fit: str) -> float:
-    """1 / ||v|| for a nonzero v, without letting the squares underflow.
+def _scaled_norm(v: np.ndarray) -> float:
+    """||v|| without letting the squares underflow or overflow.
 
     v is scaled by the power of two nearest max|v| before squaring.  That
     scaling is exact, so wherever the plain squares neither underflow nor
-    overflow the result equals 1 / np.linalg.norm(v) bit for bit.
+    overflow the result equals np.linalg.norm(v) bit for bit.  A norm beyond
+    the float64 range comes out as inf, with numpy's overflow warning.
     """
     _, e = np.frexp(np.max(np.abs(v)))
-    gamma = 1.0 / float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+
+
+def _inverse_norm(v: np.ndarray, fit: str) -> float:
+    """1 / ||v|| for a nonzero v, through _scaled_norm."""
+    gamma = 1.0 / _scaled_norm(v)
     if not np.isfinite(gamma):
         raise DegenerateIterateError(
             f"{fit}: 1/norm overflows, iterate too small to normalize"

@@ -48,7 +48,7 @@ from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import default_power_steps, run_amp, spectral_init, top_eigenpair
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
-from .model import SignalSpec, SpikedModel, _assemble, make_signal, sample_wigner
+from .model import SpikedModel, make_signal, make_spiked, sample_wigner
 
 __all__ = [
     "ConfigError",
@@ -299,8 +299,8 @@ def _validate(config: ExperimentConfig) -> None:
 
 def _build_model(config: ExperimentConfig, tseed: int, kind: str) -> SpikedModel:
     # the spike goes into the fresh Wigner buffer: one n x n array per trial
-    v = make_signal(SignalSpec(kind=kind, n=config.n, k=config.k or None, seed=tseed))
-    return _assemble(config.lam, v, sample_wigner(config.n, tseed))
+    v = make_signal(kind, config.n, k=config.k or None, seed=tseed)
+    return make_spiked(config.lam, v, sample_wigner(config.n, tseed))
 
 
 def _z2_setup(config: ExperimentConfig, tseed: int):
@@ -357,15 +357,14 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     n, lam = config.n, config.lam
     model = _build_model(config, tseed, "sparse-dirac")
     v = model.v_star
-    c_tau = config.c_tau if config.c_tau is not None else 2.0
     # Threshold scale follows the noise variance 1/n of the full matrix,
     # also when AMP runs on a sample-split complement block.
-    tau = default_tau(n, c_tau)
+    tau = default_tau(n) if config.c_tau is None else default_tau(n, config.c_tau)
     rows: list[TrialRecord] = []
 
     if config.init == "split":
-        chosen, x1 = sparse_init.sample_split_init(model, *_split_params(config), tseed)
-        Ic = chosen.complement
+        chosen = sparse_init.sample_split_init(model, *_split_params(config), tseed)
+        x1, Ic = chosen.x_j, chosen.complement
         v_c = v[Ic]
         nv = float(np.linalg.norm(v_c))
         lam_eff = lam * nv * nv

@@ -14,7 +14,6 @@ import numpy as np
 from ._rng import substream
 
 __all__ = [
-    "SignalSpec",
     "SpikedModel",
     "make_signal",
     "make_spiked",
@@ -30,31 +29,6 @@ _BLOCK = 256
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Recipe for a ground-truth signal vector.
-
-    kind is "z2" (entries +-1/sqrt(n)) or "sparse-dirac" (k nonzeros of equal
-    magnitude 1/sqrt(k) with random signs, on a uniform random support).
-    """
-
-    kind: str
-    n: int
-    k: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.kind != "z2":
-            if self.k is None:
-                raise ValueError(f"kind {self.kind!r} requires k")
-            if not 1 <= self.k <= self.n:
-                raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -99,27 +73,34 @@ def sample_wigner(n: int, seed: int) -> np.ndarray:
     return w
 
 
-def make_signal(spec: SignalSpec) -> np.ndarray:
-    """Build the unit-norm signal described by `spec`."""
-    rng = substream(spec.seed, "signal")
-    n = spec.n
-    if spec.kind == "z2":
+def make_signal(kind: str, n: int, k: int | None = None, seed: int = 0) -> np.ndarray:
+    """Build a unit-norm ground-truth signal.
+
+    kind is "z2" (entries +-1/sqrt(n)) or "sparse-dirac" (k nonzeros of equal
+    magnitude 1/sqrt(k) with random signs, on a uniform random support).
+    """
+    if kind not in _SIGNAL_KINDS:
+        raise ValueError(f"unknown signal kind {kind!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = substream(seed, "signal")
+    if kind == "z2":
         return rng.choice([-1.0, 1.0], size=n) / np.sqrt(n)
-    support = np.sort(rng.choice(n, size=spec.k, replace=False))
+    if k is None:
+        raise ValueError(f"kind {kind!r} requires k")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    support = np.sort(rng.choice(n, size=k, replace=False))
     v = np.zeros(n)
-    v[support] = rng.choice([-1.0, 1.0], size=spec.k) / np.sqrt(spec.k)
+    v[support] = rng.choice([-1.0, 1.0], size=k) / np.sqrt(k)
     return v
 
 
 def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
-    """Assemble observed = lam * v v^T + noise; neither input is kept or frozen."""
-    return _assemble(lam, v_star, np.array(noise, dtype=np.float64))
+    """observed = lam * v v^T + noise, built in `noise` itself and frozen.
 
-
-def _assemble(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
-    """make_spiked that adds the spike into `noise` itself and keeps it as M.
-
-    `noise` must be a writeable float64 array the caller gives up.
+    The caller gives `noise` up, so it must be a writeable, C-contiguous
+    float64 array owning its data, as sample_wigner returns.  v_star is copied.
     """
     v_star = np.array(v_star, dtype=np.float64)
     n = v_star.shape[0]
@@ -127,6 +108,12 @@ def _assemble(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedModel:
         raise ValueError("v_star must be a vector")
     if noise.shape != (n, n):
         raise ValueError(f"noise shape {noise.shape} does not match n={n}")
+    needs = {"float64": noise.dtype == np.float64, "writeable": noise.flags.writeable,
+             "C-contiguous": noise.flags.c_contiguous,
+             "an array owning its data": noise.flags.owndata}
+    for prop, ok in needs.items():
+        if not ok:
+            raise ValueError(f"noise must be {prop}: make_spiked adds the spike into it")
     nrm = np.linalg.norm(v_star)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"v_star must be unit norm, got ||v|| = {nrm!r}")

@@ -112,19 +112,12 @@ def se_z2_step(tau: float, lam: float, q: Quadrature) -> float:
 
 def _iterate_se(step: Callable[[float], float], start: float, max_iter: int) -> SeTrajectory:
     values = [start]
-    prev_delta = 0.0
-    damp = 1.0
     for _ in range(max_iter):
         cur = values[-1]
-        delta = step(cur) - cur
-        # Plain iteration suffices for a monotone contraction; halve the step
-        # defensively if the update direction flips back and forth.
-        if delta * prev_delta < 0:
-            damp = 0.5
-        values.append(cur + damp * delta)
+        # cur + (step - cur), not step(cur): the rounding the SE references keep
+        values.append(cur + (step(cur) - cur))
         if abs(values[-1] - cur) < _TOL:
             return SeTrajectory(values=tuple(values), fixed_point=values[-1], converged=True)
-        prev_delta = delta
     return SeTrajectory(values=tuple(values), fixed_point=None, converged=False)
 
 

@@ -22,7 +22,6 @@ M_{I^c,I^c} is untouched until the candidate x_j is already built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .model import SpikedModel
 
 __all__ = [
     "InitializationFailureError",
-    "OracleEstimate",
     "SplitRound",
     "default_split_params",
     "diag_max_init",
@@ -57,10 +55,6 @@ def diag_max_init(M: np.ndarray) -> tuple[int, np.ndarray]:
     x1 = np.zeros(M.shape[0])
     x1[s_hat] = 1.0
     return s_hat, x1
-
-
-class OracleEstimate(NamedTuple):
-    vector: np.ndarray
 
 
 def _oracle_selection(d: np.ndarray, k_hint: int) -> np.ndarray:
@@ -89,7 +83,7 @@ def _block_power(B: np.ndarray) -> np.ndarray | None:
     return y
 
 
-def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
+def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> np.ndarray:
     """Diagonal-thresholding estimate of a sparse spike inside M_sub.
 
     Keeps the 2*k_hint coordinates with the largest (signed) diagonal
@@ -114,7 +108,7 @@ def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> OracleEstimate:
         out[0] = 1.0
     else:
         out[sel] = y
-    return OracleEstimate(vector=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,8 +222,8 @@ def sample_split_init(
     tau1: float,
     seed: int,
     k_hint: int | None = None,
-) -> tuple[SplitRound, np.ndarray]:
-    """Winner of the split procedure and its unit candidate over I^c.
+) -> SplitRound:
+    """The winning split round; its x_j is the unit candidate over I^c.
 
     The caller is expected to run AMP on the complement block
     M[complement, complement], not on the full matrix.
@@ -238,5 +232,4 @@ def sample_split_init(
     live = [r for r in rounds if not r.skipped]
     if not live:
         raise InitializationFailureError(f"all {N} split rounds were skipped")
-    best = max(live, key=lambda r: r.score)
-    return best, best.x_j
+    return max(live, key=lambda r: r.score)

@@ -18,7 +18,7 @@ os.environ.setdefault("SPIKED_AMP_WORKERS", "1")
 def z2_run():
     """Spectral tanh pipeline at n=400 with its decomposition ledger."""
     n, lam, T, seed = 400, 1.5, 8, 7
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=seed))
+    v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
     init = sa.spectral_init(model.observed, 30, seed)
     traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
@@ -30,7 +30,7 @@ def z2_run():
 def sparse_run():
     """Soft-threshold pipeline (eta_0 = 0) at n=400 with its ledger."""
     n, k, lam, T, seed = 400, 10, 1.4, 6, 3
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k, seed=seed))
+    v = sa.make_signal(kind="sparse-dirac", n=n, k=k, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
     rng = np.random.default_rng(99)
     x1 = lam * v + rng.standard_normal(n) / np.sqrt(n)

@@ -59,7 +59,7 @@ def test_criterion_01_decomposition_exactness():
     worst_recon = worst_leak = 0.0
     for i in range(20):
         tseed = derive_seed(MASTER, "c1", i)
-        v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=tseed))
+        v = sa.make_signal(kind="z2", n=n, seed=tseed)
         model = sa.make_spiked(lam, v, sa.sample_wigner(n, tseed))
         init = sa.spectral_init(model.observed, sa.default_power_steps(n, lam), tseed)
         traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
@@ -94,7 +94,7 @@ def test_criterion_02_phi_gaussianity():
     worst_corr = 0.0
     for rep in range(reps):
         tseed = derive_seed(MASTER, "c2", rep)
-        v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=tseed))
+        v = sa.make_signal(kind="z2", n=n, seed=tseed)
         model = sa.make_spiked(lam, v, sa.sample_wigner(n, tseed))
         g = substream(tseed, "c2-init").normal(0.0, 1.0 / np.sqrt(n), size=n)
         x1 = np.sqrt(lam * lam - 1.0) * model.v_star + g
@@ -343,7 +343,7 @@ def test_criterion_10_initialization_procedures():
     hits = 0
     for i in range(50):
         tseed = derive_seed(MASTER, "c10-diag", i)
-        v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k1, seed=tseed))
+        v = sa.make_signal(kind="sparse-dirac", n=n, k=k1, seed=tseed)
         model = sa.make_spiked(lam1, v, sa.sample_wigner(n, tseed))
         s_hat, _ = sa.diag_max_init(model.observed)
         if v[s_hat] != 0.0:
@@ -356,7 +356,7 @@ def test_criterion_10_initialization_procedures():
     peeked = False
     for i in range(50):
         tseed = derive_seed(MASTER, "c10-split", i)
-        v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k2, seed=tseed))
+        v = sa.make_signal(kind="sparse-dirac", n=n, k=k2, seed=tseed)
         model = sa.make_spiked(lam2, v, sa.sample_wigner(n, tseed))
         rounds = sa.sample_split_rounds(model, p, N, tau1, tseed)
         for r in rounds:

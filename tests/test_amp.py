@@ -10,7 +10,7 @@ from spiked_amp import amp, denoise
 
 
 def _z2_model(n, lam, seed):
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=seed))
+    v = sa.make_signal(kind="z2", n=n, seed=seed)
     return sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
 
 
@@ -188,3 +188,18 @@ def test_spectral_rejects_vanishing_power_step():
     # M y = 0 cannot be renormalized; it is a named failure instead
     with pytest.raises(ValueError, match="power step 1"):
         sa.spectral_init(np.zeros((4, 4)), 3, 1)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_power_steps_normalize_huge_matrices(scale):
+    # entries above ~1e154 overflow the plain sum of squares, not ||M y||
+    M = np.eye(50) * scale
+    init = sa.spectral_init(M, 3, 1)
+    assert np.linalg.norm(init.x1) == pytest.approx(1.0, abs=1e-12)
+    eig = sa.top_eigenpair(M, init.x1, 3)
+    assert eig.lambda_max / scale == pytest.approx(1.0, abs=1e-12)
+
+
+def test_power_steps_name_overflow():
+    with pytest.raises(ValueError, match="overflowed"):
+        sa.spectral_init(np.full((50, 50), 1e308), 3, 1)

@@ -82,7 +82,7 @@ def test_extend_basis_degenerate_error():
     # A spectral run needs T orthonormal vectors in R^n; at n = 6, T = 10
     # the seventh Gram-Schmidt residual is numerically zero.
     n, lam, T, seed = 6, 1.5, 10, 1
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=n, seed=seed))
+    v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
     init = sa.spectral_init(model.observed, 2, seed)
     traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
@@ -99,7 +99,7 @@ def test_projected_operator_annihilates_folded_directions(z2_run):
 
 def test_projection_with_basis_vector_e1():
     # z_1 = e_1 makes the projected matrix's first row and column vanish.
-    v = sa.make_signal(sa.SignalSpec(kind="z2", n=12, seed=1))
+    v = sa.make_signal(kind="z2", n=12, seed=1)
     model = sa.make_spiked(1.5, v, sa.sample_wigner(12, 1))
     U = np.eye(12)[:1]
     W1 = np.column_stack([decomp._apply_projected(model, U, e) for e in np.eye(12)])

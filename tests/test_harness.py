@@ -172,6 +172,23 @@ def test_pool_merge_matches_serial(monkeypatch):
     assert pooled == serial
 
 
+def test_build_model_calls_make_spiked_once(monkeypatch):
+    # the model is built through the name the harness looks up, so a wrapper
+    # installed on harness.make_spiked sees every assembly
+    calls = []
+    make_spiked = harness.make_spiked
+
+    def spy(*args):
+        calls.append(args)
+        return make_spiked(*args)
+
+    monkeypatch.setattr(harness, "make_spiked", spy)
+    config = build_config({"experiment": "Z2Pipeline", "n": 50, "lambda": 1.5, "T": 1})
+    model = harness._build_model(config, 7, "z2")
+    assert len(calls) == 1
+    assert model.observed is calls[0][2]
+
+
 def test_crash_isolation(monkeypatch, capsys):
     monkeypatch.setitem(harness._TRIAL_FNS, "Z2Pipeline", _boom_on_tid_one)
     config = build_config(

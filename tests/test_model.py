@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import spiked_amp as sa
 from spiked_amp import harness
-from spiked_amp.model import SignalSpec, _assemble
 
 
 def test_wigner_symmetric_bitwise():
@@ -22,12 +21,12 @@ def test_package_matrices_symmetric_bitwise():
     # exactly symmetric: the assembled model and the split complement block
     n, k = 300, 8
     for kind in ("z2", "sparse-dirac"):
-        v = sa.make_signal(SignalSpec(kind=kind, n=n, k=k, seed=3))
+        v = sa.make_signal(kind=kind, n=n, k=k, seed=3)
         M = sa.make_spiked(1.7, v, sa.sample_wigner(n, 3)).observed
         assert np.array_equal(M, M.T)
     model = sa.make_spiked(3.0, v, sa.sample_wigner(n, 3))
     p, N, tau1 = sa.default_split_params(n, k)
-    chosen, _ = sa.sample_split_init(model, p, N, tau1, 3)
+    chosen = sa.sample_split_init(model, p, N, tau1, 3)
     Ic = chosen.complement
     block = model.observed[np.ix_(Ic, Ic)]
     assert 0 < Ic.size < n
@@ -83,14 +82,14 @@ def test_wigner_determinism():
 
 
 def test_z2_signal_entries():
-    v = sa.make_signal(SignalSpec(kind="z2", n=100, seed=2))
+    v = sa.make_signal(kind="z2", n=100, seed=2)
     np.testing.assert_allclose(np.abs(v), 1.0 / np.sqrt(100), rtol=0, atol=1e-15)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     assert np.any(v > 0) and np.any(v < 0)
 
 
 def test_sparse_dirac_signal():
-    v = sa.make_signal(SignalSpec(kind="sparse-dirac", n=200, k=12, seed=4))
+    v = sa.make_signal(kind="sparse-dirac", n=200, k=12, seed=4)
     nz = v[v != 0]
     assert nz.size == 12
     np.testing.assert_allclose(np.abs(nz), 1.0 / np.sqrt(12), rtol=0, atol=1e-15)
@@ -109,14 +108,15 @@ def test_sparse_dirac_signal():
 )
 def test_signal_spec_rejects(kwargs):
     with pytest.raises(ValueError):
-        SignalSpec(**kwargs)
+        sa.make_signal(**kwargs)
 
 
 def test_make_spiked_assembles_exactly():
-    v = sa.make_signal(SignalSpec(kind="z2", n=40, seed=8))
+    v = sa.make_signal(kind="z2", n=40, seed=8)
     W = sa.sample_wigner(40, 8)
+    want = 1.3 * np.outer(v, v) + W
     m = sa.make_spiked(1.3, v, W)
-    np.testing.assert_array_equal(m.observed, 1.3 * np.outer(v, v) + W)
+    np.testing.assert_array_equal(m.observed, want)
     assert m.n == 40 and m.lam == 1.3
     assert m.sparsity is None  # dense signal
 
@@ -124,21 +124,38 @@ def test_make_spiked_assembles_exactly():
 def test_assemble_adds_spike_in_place_bitwise():
     # n = 513 leaves a short last row block
     n = 513
-    v = sa.make_signal(SignalSpec(kind="sparse-dirac", n=n, k=40, seed=6))
+    v = sa.make_signal(kind="sparse-dirac", n=n, k=40, seed=6)
     W = sa.sample_wigner(n, 6)
     want = 1.9 * np.outer(v, v) + W
-    m = _assemble(1.9, v, W)
+    m = sa.make_spiked(1.9, v, W)
     assert m.observed is W
     np.testing.assert_array_equal(m.observed, want)
 
 
-def test_make_spiked_leaves_noise_unchanged():
-    v = sa.make_signal(SignalSpec(kind="z2", n=300, seed=2))
+def test_make_spiked_keeps_noise_as_observed():
+    # the caller gives the noise buffer up: it becomes M and is frozen
+    v = sa.make_signal(kind="z2", n=300, seed=2)
     W = sa.sample_wigner(300, 2)
-    before = W.copy()
     m = sa.make_spiked(1.5, v, W)
-    np.testing.assert_array_equal(W, before)
-    assert not np.shares_memory(m.observed, W)
+    assert m.observed is W
+    assert not W.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "noise, prop",
+    [
+        (np.zeros((10, 10)), "writeable"),                 # frozen below
+        (np.zeros((10, 10), dtype=np.float32), "float64"),
+        (np.zeros((20, 20))[:10, :10], "C-contiguous"),
+        (np.zeros(100).reshape(10, 10), "an array owning its data"),
+    ],
+)
+def test_make_spiked_refuses_unusable_noise(noise, prop):
+    if prop == "writeable":
+        noise.flags.writeable = False
+    v = sa.make_signal(kind="z2", n=10, seed=1)
+    with pytest.raises(ValueError, match=f"noise must be {prop}"):
+        sa.make_spiked(1.5, v, noise)
 
 
 def _peak_bytes(fn):
@@ -169,7 +186,7 @@ def test_harness_model_build_peak_memory():
 
 
 def test_make_spiked_sparsity_count():
-    v = sa.make_signal(SignalSpec(kind="sparse-dirac", n=40, k=5, seed=8))
+    v = sa.make_signal(kind="sparse-dirac", n=40, k=5, seed=8)
     m = sa.make_spiked(2.0, v, np.zeros((40, 40)))
     assert m.sparsity == 5
 
@@ -179,15 +196,15 @@ def test_make_spiked_rejects_nonunit():
         sa.make_spiked(1.0, np.ones(10), np.zeros((10, 10)))
 
 
-def test_make_spiked_leaves_inputs_writeable():
-    v = sa.make_signal(SignalSpec(kind="z2", n=10, seed=1))
-    W = sa.sample_wigner(10, 1)
-    sa.make_spiked(1.5, v, W)
-    assert v.flags.writeable and W.flags.writeable
+def test_make_spiked_leaves_v_star_writeable():
+    v = sa.make_signal(kind="z2", n=10, seed=1)
+    m = sa.make_spiked(1.5, v, sa.sample_wigner(10, 1))
+    assert v.flags.writeable
+    assert m.v_star is not v
 
 
 def test_model_arrays_read_only():
-    v = sa.make_signal(SignalSpec(kind="z2", n=10, seed=1))
+    v = sa.make_signal(kind="z2", n=10, seed=1)
     m = sa.make_spiked(1.5, v, sa.sample_wigner(10, 1))
     with pytest.raises(ValueError):
         m.observed[0, 0] = 99.0
@@ -212,5 +229,5 @@ def test_signal_unit_norm_property(n, seed, kind, data):
     k = None
     if kind != "z2":
         k = data.draw(st.integers(min_value=1, max_value=n))
-    v = sa.make_signal(SignalSpec(kind=kind, n=n, k=k, seed=seed))
+    v = sa.make_signal(kind=kind, n=n, k=k, seed=seed)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-10

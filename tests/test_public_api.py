@@ -31,3 +31,18 @@ def test_package_reexports_are_public():
         exported = importlib.import_module(f"spiked_amp.{node.module}").__all__
         stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert stray == []
+
+
+def test_harness_imports_no_private_names():
+    # benchmarks trace the harness by patching the names it looks up in its
+    # own namespace; a private helper imported in their place goes untraced
+    path = Path(spiked_amp.__file__).with_name("harness.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == []

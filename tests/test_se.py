@@ -210,7 +210,7 @@ def test_moment_odd_symmetry():
 
 @pytest.fixture(scope="module")
 def sparse_point():
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=4000, k=20, seed=0))
+    v = sa.make_signal(kind="sparse-dirac", n=4000, k=20, seed=0)
     tau = sa.default_tau(4000)
     return v, tau
 

@@ -66,14 +66,14 @@ def test_oracle_noiseless_rank_one_mixed_signs():
     v = np.array([3.0, -4.0, 1.0, -2.0, 5.0])
     v /= np.linalg.norm(v)
     est = sparse_init.oracle_estimate(1.7 * np.outer(v, v), k_hint=5)
-    err = min(np.linalg.norm(est.vector - v), np.linalg.norm(est.vector + v))
+    err = min(np.linalg.norm(est - v), np.linalg.norm(est + v))
     assert err < 1e-8
-    assert np.linalg.norm(est.vector) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(est) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_zero_matrix_degenerate():
     est = sparse_init.oracle_estimate(np.zeros((4, 4)), k_hint=2)
-    np.testing.assert_array_equal(est.vector, [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(est, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_oracle_truncates_to_selected_block():
@@ -86,17 +86,17 @@ def test_oracle_truncates_to_selected_block():
     M[2, 2] = 50.0
     est = sparse_init.oracle_estimate(M, k_hint=1)
     outside = [1, 4]
-    assert np.all(est.vector[outside] == 0.0)
+    assert np.all(est[outside] == 0.0)
 
 
 def test_oracle_pure_noise_no_hallucinated_signal():
     m = 300
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=m, k=20, seed=1))
+    v = sa.make_signal(kind="sparse-dirac", n=m, k=20, seed=1)
     hits = 0
     for seed in range(20):
         W = sa.sample_wigner(m, seed)
         est = sparse_init.oracle_estimate(W, k_hint=10)
-        if abs(float(v @ est.vector)) <= 5.0 / np.sqrt(m):
+        if abs(float(v @ est)) <= 5.0 / np.sqrt(m):
             hits += 1
     assert hits >= 18
 
@@ -108,7 +108,7 @@ def test_oracle_pure_noise_no_hallucinated_signal():
 @pytest.fixture(scope="module")
 def split_model():
     n, k, seed = 400, 40, 11
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k, seed=seed))
+    v = sa.make_signal(kind="sparse-dirac", n=n, k=k, seed=seed)
     lam = 2 * k / np.sqrt(n)
     return sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
 
@@ -160,10 +160,10 @@ def test_skipped_round_via_threshold(split_model):
 
 def test_winner_is_argmax(split_model):
     rounds = sparse_init.sample_split_rounds(split_model, p=0.3, N=8, tau1=0.2, seed=5)
-    best, x = sparse_init.sample_split_init(split_model, p=0.3, N=8, tau1=0.2, seed=5)
-    live_scores = [r.score for r in rounds if not r.skipped]
-    assert best.score == max(live_scores)
-    np.testing.assert_array_equal(x, best.x_j)
+    best = sparse_init.sample_split_init(split_model, p=0.3, N=8, tau1=0.2, seed=5)
+    live = [r for r in rounds if not r.skipped]
+    assert best.score == max(r.score for r in live)
+    np.testing.assert_array_equal(best.x_j, max(live, key=lambda r: r.score).x_j)
 
 
 def test_rounds_deterministic(split_model):
@@ -181,7 +181,7 @@ def test_noiseless_candidate_formula():
     # x_j is proportional to the thresholded image of the complement part
     # of the signal, up to the oracle's sign
     n, k, lam = 200, 8, 5.0
-    v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k, seed=2))
+    v = sa.make_signal(kind="sparse-dirac", n=n, k=k, seed=2)
     model = sa.make_spiked(lam, v, np.zeros((n, n)))
     rounds = sparse_init.sample_split_rounds(model, p=0.5, N=1, tau1=0.3, seed=4)
     r = rounds[0]
@@ -267,7 +267,7 @@ def _dense_rounds(model, p, N, tau1, seed, k_hint):
         if I.size == 0 or Ic.size == 0:
             out.append((I, Ic, None, float("-inf"), True, ()))
             continue
-        est = sparse_init.oracle_estimate(M[np.ix_(I, I)], k_hint).vector
+        est = sparse_init.oracle_estimate(M[np.ix_(I, I)], k_hint)
         x_raw = soft_threshold(M[np.ix_(Ic, I)] @ est, tau1)
         nrm = float(np.linalg.norm(x_raw))
         if nrm == 0.0:
@@ -295,7 +295,7 @@ def test_split_rounds_match_dense_reference():
     n, k = 400, 20
     cases = []
     for seed in range(6):
-        v = sa.make_signal(sa.SignalSpec(kind="sparse-dirac", n=n, k=k, seed=seed))
+        v = sa.make_signal(kind="sparse-dirac", n=n, k=k, seed=seed)
         model = sa.make_spiked(2 * k / np.sqrt(n), v, sa.sample_wigner(n, seed))
         cases.append((model, 0.3, 8, 0.15, seed, 6))
     model, p, seed = _zero_oracle_block_model()
