@@ -9,10 +9,12 @@ starting vectors, and `harness`/`cli` wire experiments together.
 """
 
 from .amp import (
+    AmpStep,
     AmpTrajectory,
     SpectralInit,
     TopEigenpair,
     amp_step,
+    amp_steps,
     default_power_steps,
     run_amp,
     spectral_init,

@@ -1,5 +1,6 @@
-"""The AMP engine: single step, full runs, spectral initialization and
-the top-eigenpair refinement that only eigenvalue experiments need.
+"""The AMP engine: single step, the step generator and the full runs it
+collects, spectral initialization and the top-eigenpair refinement that only
+eigenvalue experiments need.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
 (dsymv), which reads only M's upper triangle: M must be symmetric, and an
@@ -12,7 +13,9 @@ reproducible from its inputs alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dsymv
@@ -23,10 +26,12 @@ from .denoise import DegenerateIterateError, DenoiserState
 from .model import SpikedModel
 
 __all__ = [
+    "AmpStep",
     "AmpTrajectory",
     "SpectralInit",
     "TopEigenpair",
     "amp_step",
+    "amp_steps",
     "default_power_steps",
     "run_amp",
     "spectral_init",
@@ -39,8 +44,9 @@ class AmpTrajectory:
     """Iterates x_1..x_T with the per-iteration denoiser bookkeeping.
 
     denoised[t-1] = eta_t(x_t) and onsager[t-1] = <eta_t'(x_t)>, both fitted
-    on iterates[t-1].  When a fit degenerates the run stops early and
-    `failure` carries (t, message); all lists then end at the last good t.
+    on iterates[t-1].  When the fit of x_t degenerates the run stops early
+    and `failure` carries (t, message); `iterates` then ends at that x_t, so
+    len(iterates) == t, and the other lists end at t - 1.
     """
 
     iterates: list[np.ndarray]
@@ -86,6 +92,56 @@ def _fit(family: str, x: np.ndarray, n: int, tau: float) -> DenoiserState:
     raise ValueError(f"unknown denoiser family {family!r}")
 
 
+class AmpStep(NamedTuple):
+    """Iterate x_t with its fit: the denoiser state, eta_t(x_t) and <eta_t'(x_t)>.
+
+    When the fit of x_t degenerates, `failure` holds the message and the
+    three fit fields are None.
+    """
+
+    t: int
+    x: np.ndarray
+    state: DenoiserState | None
+    eta: np.ndarray | None
+    onsager: float | None
+    failure: str | None = None
+
+
+def amp_steps(
+    model: SpikedModel,
+    family: str,
+    x1: np.ndarray,
+    eta0_of_x0: np.ndarray,
+    T: int,
+    tau: float = 0.0,
+) -> Iterator[AmpStep]:
+    """Yield the AmpStep of t = 1..T, holding only x_t, eta_t and eta_{t-1}.
+
+    A degenerate fit of x_t is yielded as that step's `failure` and ends the
+    run.  Arguments are those of run_amp, and T < 1 raises ValueError at the
+    first step.  model.observed must be symmetric; only its upper triangle
+    is read.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    M = model.observed
+    n = model.n
+    x = np.asarray(x1, dtype=np.float64)
+    eta_prev = np.asarray(eta0_of_x0, dtype=np.float64)
+    for t in range(1, T + 1):
+        try:
+            state = _fit(family, x, n, tau)
+        except DegenerateIterateError as exc:
+            yield AmpStep(t, x, None, None, None, str(exc))
+            return
+        eta = denoise.apply(state, x)
+        ons = denoise.derivative_avg(state, x)
+        yield AmpStep(t, x, state, eta, ons)
+        if t < T:
+            x = amp_step(M, eta, eta_prev, ons)
+            eta_prev = eta
+
+
 def run_amp(
     model: SpikedModel,
     family: str,
@@ -94,45 +150,23 @@ def run_amp(
     T: int,
     tau: float = 0.0,
 ) -> AmpTrajectory:
-    """Run T iterations from x1.
+    """Run T iterations from x1 and keep every iterate and fit.
 
     eta0_of_x0 is the step-0 convention: x1/lam for the spectrally
     initialized tanh pipeline, zero for the sparse pipeline.  `tau` is only
     read by the soft-threshold family (constant across iterations).
     model.observed must be symmetric; only its upper triangle is read.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    M = model.observed
-    n = model.n
-    iterates = [np.asarray(x1, dtype=np.float64)]
-    denoised: list[np.ndarray] = []
-    states: list[DenoiserState] = []
-    onsager: list[float] = []
-    failure = None
-    eta_prev = np.asarray(eta0_of_x0, dtype=np.float64)
-    for t in range(1, T + 1):
-        x = iterates[-1]
-        try:
-            state = _fit(family, x, n, tau)
-        except DegenerateIterateError as exc:
-            failure = (t, str(exc))
-            break
-        eta = denoise.apply(state, x)
-        ons = denoise.derivative_avg(state, x)
-        denoised.append(eta)
-        states.append(state)
-        onsager.append(ons)
-        if t < T:
-            iterates.append(amp_step(M, eta, eta_prev, ons))
-            eta_prev = eta
+    steps = list(amp_steps(model, family, x1, eta0_of_x0, T, tau))
+    fitted = [step for step in steps if step.failure is None]
+    last = steps[-1]
     return AmpTrajectory(
-        iterates=iterates,
-        denoised=denoised,
-        states=states,
-        onsager=onsager,
+        iterates=[step.x for step in steps],
+        denoised=[step.eta for step in fitted],
+        states=[step.state for step in fitted],
+        onsager=[step.onsager for step in fitted],
         eta0_of_x0=np.asarray(eta0_of_x0, dtype=np.float64),
-        failure=failure,
+        failure=None if last.failure is None else (last.t, last.failure),
     )
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import decomp, se, sparse_init
 from ._rng import derive_seed, substream
-from .amp import default_power_steps, run_amp, spectral_init, top_eigenpair
+from .amp import amp_steps, default_power_steps, run_amp, spectral_init, top_eigenpair
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
 from .model import SpikedModel, make_signal, make_spiked, sample_wigner
 
@@ -312,32 +312,27 @@ def _z2_setup(config: ExperimentConfig, tseed: int):
     return model, init
 
 
-def _z2_alpha(model, traj, t: int) -> float:
-    # alpha_t, the v*-coefficient of x_t: direct for t=1, lam <v*, eta_{t-1}>
-    # afterward (same formula the decomposition ledger records).
-    if t == 1:
-        return float(model.v_star @ traj.iterates[0])
-    return model.lam * float(model.v_star @ traj.denoised[t - 2])
-
-
 def _trial_z2(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     config, tid = args
     tseed = derive_seed(config.seed, "trial", tid)
     model, init = _z2_setup(config, tseed)
-    x1 = config.lam * init.x1
-    traj = run_amp(model, "tanh-z2", x1, init.x1, config.T)
+    v, lam = model.v_star, model.lam
     taus = se.se_z2_trajectory(config.lam, config.T, se.gauss_hermite()).values
     rows: list[TrialRecord] = []
-    for t in range(1, len(traj.iterates) + 1):
-        alpha = _z2_alpha(model, traj, t)
-        x_t = traj.iterates[t - 1]
+    eta_prev = None
+    for step in amp_steps(model, "tanh-z2", config.lam * init.x1, init.x1, config.T):
+        t, x_t = step.t, step.x
+        # alpha_t, the v*-coefficient of x_t: direct for t=1, lam <v*, eta_{t-1}>
+        # afterward (same formula the decomposition ledger records).
+        alpha = float(v @ x_t) if t == 1 else lam * float(v @ eta_prev)
         rows.append(TrialRecord(tid, t, "alpha", alpha))
         rows.append(TrialRecord(tid, t, "alpha_sq", alpha * alpha))
         rows.append(TrialRecord(tid, t, "tau_t", float(taus[t - 1])))
         rows.append(TrialRecord(tid, t, "overlap",
-                                abs(float(model.v_star @ x_t)) / float(np.linalg.norm(x_t))))
-    if traj.failure is not None:
-        rows.append(TrialRecord(tid, traj.failure[0], "error_code", 1.0))
+                                abs(float(v @ x_t)) / float(np.linalg.norm(x_t))))
+        if step.failure is not None:
+            rows.append(TrialRecord(tid, t, "error_code", 1.0))
+        eta_prev = step.eta
     return rows
 
 
@@ -381,7 +376,6 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         lam_eff = lam
         alpha_start = lam
 
-    traj = run_amp(run_model, "soft-threshold", x1, eta0, config.T, tau=tau)
     se_ref: tuple[float, ...] | None
     try:
         se_ref = se.se_sparse_trajectory(
@@ -391,23 +385,21 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         se_ref = None  # split start can be too cold for the SE map
 
     v_run = run_model.v_star
-    for t in range(1, len(traj.denoised) + 1):
-        x_t = traj.iterates[t - 1]
-        eta_t = traj.denoised[t - 1]
-        rows.append(TrialRecord(tid, t, "alpha", lam_eff * float(v_run @ eta_t)))
+    for step in amp_steps(run_model, "soft-threshold", x1, eta0, config.T, tau=tau):
+        if step.failure is not None:
+            rows.append(TrialRecord(tid, step.t, "error_code", 1.0))
+            break
+        t, x_t = step.t, step.x
+        rows.append(TrialRecord(tid, t, "alpha", lam_eff * float(v_run @ step.eta)))
         if se_ref is not None:
             rows.append(TrialRecord(tid, t, "tau_t", float(se_ref[t])))
         rows.append(TrialRecord(tid, t, "overlap",
                                 abs(float(v_run @ x_t)) / float(np.linalg.norm(x_t))))
-    if traj.failure is None:
-        T = config.T
-        x_T = traj.iterates[T - 1]
-        est = soft_threshold(x_T, tau) / lam_eff
+    else:  # step is t = T
+        est = soft_threshold(step.x, tau) / lam_eff
         if float(est @ v_run) < 0:
             est = -est
-        rows.append(TrialRecord(tid, T, "l2_err", float(np.linalg.norm(est - v_run))))
-    else:
-        rows.append(TrialRecord(tid, traj.failure[0], "error_code", 1.0))
+        rows.append(TrialRecord(tid, step.t, "l2_err", float(np.linalg.norm(est - v_run))))
     return rows
 
 

@@ -1,8 +1,8 @@
 """Spiked Wigner instances: M = lam * v v^T + W with exact variance conventions.
 
 A model holds one n x n array.  sample_wigner fills a single buffer, and the
-spike is added into that buffer in row blocks, so building a model never
-holds a second n x n temporary.
+spike is added into that buffer a few rows at a time through one reused
+buffer, so building a model never holds a second n x n temporary.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ __all__ = [
 
 _SIGNAL_KINDS = ("z2", "sparse-dirac")
 
-# rows (and columns) per block when mirroring W or adding the spike into it
+# rows (and columns) per tile when mirroring W
 _BLOCK = 256
+# rows of the outer product lam v v^T held at once while adding the spike
+_SPIKE_ROWS = 8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -117,8 +119,12 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     nrm = np.linalg.norm(v_star)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"v_star must be unit norm, got ||v|| = {nrm!r}")
-    for b in range(0, n, _BLOCK):
-        noise[b:b + _BLOCK] += lam * np.outer(v_star[b:b + _BLOCK], v_star)
+    buf = np.empty((min(_SPIKE_ROWS, n), n))
+    for b in range(0, n, _SPIKE_ROWS):
+        rows = buf[:min(_SPIKE_ROWS, n - b)]
+        np.multiply(v_star[b:b + _SPIKE_ROWS, None], v_star, out=rows)
+        rows *= lam
+        noise[b:b + _SPIKE_ROWS] += rows
     sparsity = int(np.count_nonzero(v_star))
     return SpikedModel(
         n=n,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .denoise import soft_threshold
+from .denoise import _scaled_norm, soft_threshold
 from .model import SpikedModel
 
 __all__ = [
@@ -72,7 +72,7 @@ def _block_power(B: np.ndarray) -> np.ndarray | None:
     y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
     for step in range(200):
         y_new = B @ y
-        nrm = float(np.linalg.norm(y_new))
+        nrm = _scaled_norm(y_new)
         if nrm == 0.0:
             return None if step == 0 else y
         y_new /= nrm

@@ -74,6 +74,31 @@ def test_run_amp_failure_capture():
     assert len(traj.denoised) == 0
 
 
+def test_failing_fit_still_hands_out_its_iterate(monkeypatch):
+    # the fit of x_3 degenerates: the generator yields x_3 with the failure
+    # and stops, and run_amp keeps x_3 but no fit of it
+    model = _z2_model(80, 1.5, 21)
+    init = sa.spectral_init(model.observed, 10, 21)
+    fit, calls = denoise.fit_tanh, []
+
+    def failing(x, n):
+        calls.append(x)
+        if len(calls) == 3:
+            raise denoise.DegenerateIterateError("synthetic degenerate fit")
+        return fit(x, n)
+
+    monkeypatch.setattr(denoise, "fit_tanh", failing)
+    steps = list(sa.amp_steps(model, "tanh-z2", 1.5 * init.x1, init.x1, 6))
+    assert [s.t for s in steps] == [1, 2, 3]
+    assert steps[-1].x is calls[2]
+    assert steps[-1][2:] == (None, None, None, "synthetic degenerate fit")
+    calls.clear()
+    traj = sa.run_amp(model, "tanh-z2", 1.5 * init.x1, init.x1, 6)
+    assert traj.failure == (3, "synthetic degenerate fit")
+    assert len(traj.iterates) == 3 and traj.iterates[2] is calls[2]
+    assert len(traj.denoised) == len(traj.states) == len(traj.onsager) == 2
+
+
 def test_run_amp_rejects_bad_T():
     model = _z2_model(20, 1.2, 3)
     with pytest.raises(ValueError):

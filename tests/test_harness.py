@@ -1,12 +1,14 @@
 """Experiment harness: config plumbing, determinism, pooling, CSV."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spiked_amp import cli, decomp, harness, se
+from spiked_amp import cli, decomp, denoise, harness, se
 from spiked_amp._rng import derive_seed
+from spiked_amp.denoise import DegenerateIterateError
 from spiked_amp.harness import (
     ConfigError,
     DecompRow,
@@ -189,6 +191,30 @@ def test_build_model_calls_make_spiked_once(monkeypatch):
     assert model.observed is calls[0][2]
 
 
+def _transient_peak(fn) -> int:
+    # tracemalloc peak of fn() above what it leaves allocated (its output)
+    tracemalloc.start()
+    try:
+        fn()
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak - kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_z2_trial_memory_does_not_grow_with_T():
+    # a z2 trial holds x_t, eta_t and eta_{t-1}, not the whole trajectory;
+    # its rows are its output, so they are not counted
+    n = 400
+    peaks = {}
+    for T in (20, 400):
+        config = build_config({"experiment": "Z2Pipeline", "n": n, "lambda": 1.5, "T": T})
+        rows = []
+        peaks[T] = _transient_peak(lambda: rows.extend(harness._trial_z2((config, 0))))
+        assert max(r.t for r in rows) == T
+    assert peaks[400] - peaks[20] <= 4 * 8 * n
+
+
 def test_crash_isolation(monkeypatch, capsys):
     monkeypatch.setitem(harness._TRIAL_FNS, "Z2Pipeline", _boom_on_tid_one)
     config = build_config(
@@ -321,6 +347,54 @@ def test_unexpected_trial_error_propagates(monkeypatch):
 
 SPARSE_SMALL = {"experiment": "SparsePipeline", "n": 200, "k": 10, "lambda": 2.0,
                 "T": 2, "trials": 1}
+
+
+def _fit_fails_at(monkeypatch, name: str, t_fail: int) -> None:
+    # the t_fail-th call of denoise.<name> (the fit of x_t_fail) degenerates
+    fit = getattr(denoise, name)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == t_fail:
+            raise DegenerateIterateError("synthetic degenerate fit")
+        return fit(*args)
+
+    monkeypatch.setattr(denoise, name, failing)
+
+
+def test_z2_failing_trial_rows(monkeypatch):
+    # a fit that degenerates at t = 3 still reports x_3: alpha_3 comes from
+    # eta_2 and overlap from x_3, so rows t = 1..3 match the healthy run's
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    config = build_config({"experiment": "Z2Pipeline", "n": 150, "lambda": 1.5, "T": 5,
+                           "trials": 1, "seed": 3})
+    healthy = run_experiment(config)
+    _fit_fails_at(monkeypatch, "fit_tanh", 3)
+    rows = run_experiment(config)
+    assert [(r.t, r.metric_name) for r in rows] == [
+        (t, name) for t in (1, 2, 3) for name in ("alpha", "alpha_sq", "tau_t", "overlap")
+    ] + [(3, "error_code")]
+    assert rows[:-1] == [r for r in healthy if r.t <= 3]
+    assert rows[-1] == TrialRecord(0, 3, "error_code", 1.0)
+
+
+@pytest.mark.parametrize("init", ["independent", "split"])
+def test_sparse_failing_trial_rows(monkeypatch, init):
+    # sparse rows read eta_t, so a fit that degenerates at t = 3 ends the
+    # rows at t = 2, with no l2_err
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    data = {"experiment": "SparsePipeline", "n": 300, "k": 12, "lambda": 3.0, "T": 5,
+            "trials": 1, "seed": 4, "init": init}
+    healthy = run_experiment(build_config(data))
+    _fit_fails_at(monkeypatch, "fit_soft_threshold", 3)
+    rows = run_experiment(build_config(data))
+    head = [(0, "score")] if init == "split" else []
+    assert [(r.t, r.metric_name) for r in rows] == head + [
+        (t, name) for t in (1, 2) for name in ("alpha", "tau_t", "overlap")
+    ] + [(3, "error_code")]
+    assert rows[:-1] == [r for r in healthy if r.t <= 2]
+    assert rows[-1] == TrialRecord(0, 3, "error_code", 1.0)
 
 
 def test_sparse_se_degeneracy_drops_tau_rows(monkeypatch):

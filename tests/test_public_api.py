@@ -20,6 +20,12 @@ def test_all_names_resolve(name):
     assert set(module.__all__) <= set(namespace)
 
 
+def test_amp_exports_the_step_generator():
+    # the trials stream AMP through amp_steps; run_amp collects the same steps
+    assert {"AmpStep", "amp_steps", "run_amp"} <= set(spiked_amp.amp.__all__)
+    assert spiked_amp.amp_steps is spiked_amp.amp.amp_steps
+
+
 def test_package_reexports_are_public():
     # every "from .module import name" in the package's __init__ names a
     # member of that module's __all__

@@ -76,6 +76,15 @@ def test_oracle_zero_matrix_degenerate():
     np.testing.assert_array_equal(est, [1.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_oracle_normalizes_huge_blocks(scale):
+    # ||B y||^2 overflows here, ||B y|| does not: the power steps divide by
+    # the scaled norm, so the estimate is a unit basis vector, not zero
+    est = sparse_init.oracle_estimate(np.eye(6) * scale, 2)
+    assert np.count_nonzero(est) == 1
+    assert np.linalg.norm(est) == 1.0
+
+
 def test_oracle_truncates_to_selected_block():
     # signal on coordinates {0, 3}; a huge unrelated diagonal at 2 draws
     # one selection slot, but 2 * k_hint = 2 slots keep the larger of the
