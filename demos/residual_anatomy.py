@@ -31,7 +31,7 @@ def main() -> int:
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
     init = sa.spectral_init(model.observed, sa.default_power_steps(args.n, args.lam),
                             args.seed)
-    traj = sa.run_amp(model, "tanh-z2", args.lam * init.x1, init.x1, args.T)
+    traj = sa.run_amp(model, sa.fit_tanh, args.lam * init.x1, init.x1, args.T)
     if traj.failure is not None:
         print(f"[error] run degenerated: {traj.failure}", file=sys.stderr)
         return 1

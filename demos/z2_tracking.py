@@ -39,7 +39,7 @@ def main() -> int:
           f"lambda_max={eig.lambda_max:.4f}")
     print(f"[setup] start overlap <x1, v*> = {float(init.x1 @ model.v_star):+.4f}")
 
-    traj = sa.run_amp(model, "tanh-z2", args.lam * init.x1, init.x1, args.T)
+    traj = sa.run_amp(model, sa.fit_tanh, args.lam * init.x1, init.x1, args.T)
     if traj.failure is not None:
         print(f"[error] run degenerated at t={traj.failure[0]}: {traj.failure[1]}",
               file=sys.stderr)

@@ -74,4 +74,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -6,14 +6,14 @@ Every product with the symmetric M goes through one BLAS kernel, `_symv`
 (dsymv), which reads only M's upper triangle: M must be symmetric, and an
 asymmetric M is not detected.
 
-A run owns nothing random; the model, the starting point, and the step-0
-convention eta_0(x_0) are all passed in, so the same trajectory is
-reproducible from its inputs alone.
+A run owns nothing random and names no denoiser; the model, the denoiser's
+fit, the starting point and the step-0 convention eta_0(x_0) are all passed
+in, so the same trajectory is reproducible from its inputs alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,10 +43,10 @@ __all__ = [
 class AmpTrajectory:
     """Iterates x_1..x_T with the per-iteration denoiser bookkeeping.
 
-    denoised[t-1] = eta_t(x_t) and onsager[t-1] = <eta_t'(x_t)>, both fitted
-    on iterates[t-1].  When the fit of x_t degenerates the run stops early
-    and `failure` carries (t, message); `iterates` then ends at that x_t, so
-    len(iterates) == t, and the other lists end at t - 1.
+    states[t-1] = fit(x_t), denoised[t-1] = eta_t(x_t) and onsager[t-1] =
+    <eta_t'(x_t)>, all on iterates[t-1].  When the fit of x_t degenerates the
+    run stops early and `failure` carries (t, message); `iterates` then ends
+    at that x_t, so len(iterates) == t, and the other lists end at t - 1.
     """
 
     iterates: list[np.ndarray]
@@ -84,14 +84,6 @@ def amp_step(
     return _symv(M, eta_xt) - onsager * eta_prev
 
 
-def _fit(family: str, x: np.ndarray, n: int, tau: float) -> DenoiserState:
-    if family == "tanh-z2":
-        return denoise.fit_tanh(x, n)
-    if family == "soft-threshold":
-        return denoise.fit_soft_threshold(x, tau)
-    raise ValueError(f"unknown denoiser family {family!r}")
-
-
 class AmpStep(NamedTuple):
     """Iterate x_t with its fit: the denoiser state, eta_t(x_t) and <eta_t'(x_t)>.
 
@@ -109,28 +101,26 @@ class AmpStep(NamedTuple):
 
 def amp_steps(
     model: SpikedModel,
-    family: str,
+    fit: Callable[[np.ndarray], DenoiserState],
     x1: np.ndarray,
     eta0_of_x0: np.ndarray,
     T: int,
-    tau: float = 0.0,
 ) -> Iterator[AmpStep]:
     """Yield the AmpStep of t = 1..T, holding only x_t, eta_t and eta_{t-1}.
 
-    A degenerate fit of x_t is yielded as that step's `failure` and ends the
-    run.  Arguments are those of run_amp, and T < 1 raises ValueError at the
-    first step.  model.observed must be symmetric; only its upper triangle
-    is read.
+    fit(x_t) runs once per step, on the x the step yields; a degenerate fit
+    is yielded as that step's `failure` and ends the run.  Arguments are
+    those of run_amp, and T < 1 raises ValueError at the first step.
+    model.observed must be symmetric; only its upper triangle is read.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     M = model.observed
-    n = model.n
     x = np.asarray(x1, dtype=np.float64)
     eta_prev = np.asarray(eta0_of_x0, dtype=np.float64)
     for t in range(1, T + 1):
         try:
-            state = _fit(family, x, n, tau)
+            state = fit(x)
         except DegenerateIterateError as exc:
             yield AmpStep(t, x, None, None, None, str(exc))
             return
@@ -144,20 +134,19 @@ def amp_steps(
 
 def run_amp(
     model: SpikedModel,
-    family: str,
+    fit: Callable[[np.ndarray], DenoiserState],
     x1: np.ndarray,
     eta0_of_x0: np.ndarray,
     T: int,
-    tau: float = 0.0,
 ) -> AmpTrajectory:
     """Run T iterations from x1 and keep every iterate and fit.
 
-    eta0_of_x0 is the step-0 convention: x1/lam for the spectrally
-    initialized tanh pipeline, zero for the sparse pipeline.  `tau` is only
-    read by the soft-threshold family (constant across iterations).
-    model.observed must be symmetric; only its upper triangle is read.
+    fit maps x_t to eta_t's DenoiserState, e.g. denoise.fit_tanh.  eta0_of_x0
+    is the step-0 convention: x1/lam for the spectrally initialized tanh
+    pipeline, zero for the sparse pipeline.  model.observed must be
+    symmetric; only its upper triangle is read.
     """
-    steps = list(amp_steps(model, family, x1, eta0_of_x0, T, tau))
+    steps = list(amp_steps(model, fit, x1, eta0_of_x0, T))
     fitted = [step for step in steps if step.failure is None]
     last = steps[-1]
     return AmpTrajectory(

@@ -69,10 +69,10 @@ def _inverse_norm(v: np.ndarray, fit: str) -> float:
     return gamma
 
 
-def fit_tanh(x_t: np.ndarray, n: int) -> DenoiserState:
-    """Fit the tanh family on iterate x_t: pi = sqrt(n (||x_t||^2 - 1))."""
+def fit_tanh(x_t: np.ndarray) -> DenoiserState:
+    """Fit the tanh family on iterate x_t of length n: pi = sqrt(n (||x_t||^2 - 1))."""
     sq = float(x_t @ x_t)
-    pi = float(np.sqrt(n * max(sq - 1.0, EPS_CLAMP)))
+    pi = float(np.sqrt(x_t.shape[0] * max(sq - 1.0, EPS_CLAMP)))
     th = np.tanh(pi * x_t)
     if not np.any(th):
         raise DegenerateIterateError("tanh fit: tanh(pi x_t) is identically 0")

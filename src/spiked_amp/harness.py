@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import decomp, se, sparse_init
+from . import decomp, denoise, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import amp_steps, default_power_steps, run_amp, spectral_init, top_eigenpair
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
@@ -320,7 +320,7 @@ def _trial_z2(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     taus = se.se_z2_trajectory(config.lam, config.T, se.gauss_hermite()).values
     rows: list[TrialRecord] = []
     eta_prev = None
-    for step in amp_steps(model, "tanh-z2", config.lam * init.x1, init.x1, config.T):
+    for step in amp_steps(model, denoise.fit_tanh, config.lam * init.x1, init.x1, config.T):
         t, x_t = step.t, step.x
         # alpha_t, the v*-coefficient of x_t: direct for t=1, lam <v*, eta_{t-1}>
         # afterward (same formula the decomposition ledger records).
@@ -365,14 +365,12 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         lam_eff = lam * nv * nv
         # M_cc = lam_eff u u^T + W_cc with u = v_c / ||v_c||
         run_model = SpikedModel(Ic.size, lam_eff, v_c / nv, model.observed[np.ix_(Ic, Ic)])
-        eta0 = np.zeros(Ic.size)
         alpha_start = abs(float(run_model.v_star @ x1))
         rows.append(TrialRecord(tid, 0, "score", chosen.score))
     else:
         g = substream(tseed, "init-g").standard_normal(n)
         x1 = lam * v + g / np.sqrt(n)
         run_model = model
-        eta0 = np.zeros(n)
         lam_eff = lam
         alpha_start = lam
 
@@ -385,7 +383,9 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         se_ref = None  # split start can be too cold for the SE map
 
     v_run = run_model.v_star
-    for step in amp_steps(run_model, "soft-threshold", x1, eta0, config.T, tau=tau):
+    # the fits are read off the denoise module at trial time, so a patched one runs
+    for step in amp_steps(run_model, lambda x: denoise.fit_soft_threshold(x, tau), x1,
+                          np.zeros(x1.size), config.T):
         if step.failure is not None:
             rows.append(TrialRecord(tid, step.t, "error_code", 1.0))
             break
@@ -420,7 +420,7 @@ def _trial_decomp(args: tuple[ExperimentConfig, int]) -> list[DecompRow]:
     tseed = derive_seed(config.seed, "trial", tid)
     model, init = _z2_setup(config, tseed)
     x1 = config.lam * init.x1
-    traj = run_amp(model, "tanh-z2", x1, init.x1, config.T)
+    traj = run_amp(model, denoise.fit_tanh, x1, init.x1, config.T)
     if traj.failure is not None:
         raise DegenerateIterateError(f"AMP degenerated at t={traj.failure[0]}: {traj.failure[1]}")
     ledger = decomp.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))

@@ -66,15 +66,18 @@ def _block_power(B: np.ndarray) -> np.ndarray | None:
     """Unit top eigenvector of B by power iteration; None when B @ y is zero.
 
     Starts at the basis vector of B's largest |diagonal| entry, so the
-    result is deterministic.
+    result is deterministic; a non-finite ||B y|| raises ValueError.
     """
     y = np.zeros(B.shape[0])
     y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
-    for step in range(200):
+    for step in range(1, 201):
         y_new = B @ y
-        nrm = _scaled_norm(y_new)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            nrm = _scaled_norm(y_new)
+        if not np.isfinite(nrm):
+            raise ValueError(f"block power step {step} overflowed: ||B y|| = {nrm!r} is not finite")
         if nrm == 0.0:
-            return None if step == 0 else y
+            return None if step == 1 else y
         y_new /= nrm
         moved = min(np.linalg.norm(y_new - y), np.linalg.norm(y_new + y))
         y = y_new
@@ -141,6 +144,30 @@ def default_split_params(n: int, k: int) -> tuple[float, int, float]:
     return p, N, tau1
 
 
+def _split_round(M: np.ndarray, I: np.ndarray, Ic: np.ndarray, tau1: float, k_hint: int,
+                 log: list[str]) -> tuple[np.ndarray | None, float]:
+    """(x_j, score) of one split round, or (None, -inf) when it is skipped."""
+    if I.size == 0 or Ic.size == 0:
+        return None, float("-inf")
+    # the oracle on M_II, reading its diagonal and the selected block only
+    sel = _oracle_selection(_read_block(M, (I, I), log, "read:II"), k_hint)
+    J = I[sel]
+    y = _block_power(_read_block(M, np.ix_(J, J), log, "read:II"))
+    if y is None:  # all-zero block: the oracle's e_1, column I[0]
+        J, y = I[:1], np.ones(1)
+    log.append("oracle")
+    v_j = _read_block(M, np.ix_(Ic, J), log, "read:IcI") @ y
+    x_raw = soft_threshold(v_j, tau1)
+    nrm = float(np.linalg.norm(x_raw))
+    if nrm == 0.0:
+        return None, float("-inf")
+    x_j = x_raw / nrm
+    log.append("xj_built")
+    S = np.flatnonzero(x_j)
+    x_S = x_j[S]
+    return x_j, float(x_S @ _read_block(M, np.ix_(Ic[S], Ic[S]), log, "read:score_IcIc") @ x_S)
+
+
 def sample_split_rounds(
     model: SpikedModel,
     p: float,
@@ -167,51 +194,14 @@ def sample_split_rounds(
     if k_hint is None:
         k = model.sparsity if model.sparsity is not None else n
         k_hint = max(1, round(k * p))
-    M = model.observed
     rounds: list[SplitRound] = []
     for j in range(N):
-        rng = substream(seed, "split-round", j)
-        mask = rng.random(n) < p
-        I = np.flatnonzero(mask)
-        Ic = np.flatnonzero(~mask)
+        mask = substream(seed, "split-round", j).random(n) < p
+        I, Ic = np.flatnonzero(mask), np.flatnonzero(~mask)
         log: list[str] = []
-        if I.size == 0 or Ic.size == 0:
-            rounds.append(
-                SplitRound(
-                    index_set=I, complement=Ic,
-                    x_j=None, score=float("-inf"), skipped=True, events=tuple(log),
-                )
-            )
-            continue
-        # the oracle on M_II, reading its diagonal and the selected block only
-        sel = _oracle_selection(_read_block(M, (I, I), log, "read:II"), k_hint)
-        J = I[sel]
-        y = _block_power(_read_block(M, np.ix_(J, J), log, "read:II"))
-        if y is None:  # all-zero block: the oracle's e_1, column I[0]
-            J, y = I[:1], np.ones(1)
-        log.append("oracle")
-        v_j = _read_block(M, np.ix_(Ic, J), log, "read:IcI") @ y
-        x_raw = soft_threshold(v_j, tau1)
-        nrm = float(np.linalg.norm(x_raw))
-        if nrm == 0.0:
-            rounds.append(
-                SplitRound(
-                    index_set=I, complement=Ic,
-                    x_j=None, score=float("-inf"), skipped=True, events=tuple(log),
-                )
-            )
-            continue
-        x_j = x_raw / nrm
-        log.append("xj_built")
-        S = np.flatnonzero(x_j)
-        x_S = x_j[S]
-        score = float(x_S @ _read_block(M, np.ix_(Ic[S], Ic[S]), log, "read:score_IcIc") @ x_S)
-        rounds.append(
-            SplitRound(
-                index_set=I, complement=Ic,
-                x_j=x_j, score=score, skipped=False, events=tuple(log),
-            )
-        )
+        x_j, score = _split_round(model.observed, I, Ic, tau1, k_hint, log)
+        rounds.append(SplitRound(index_set=I, complement=Ic, x_j=x_j, score=score,
+                                 skipped=x_j is None, events=tuple(log)))
     return rounds
 
 

@@ -21,7 +21,7 @@ def z2_run():
     v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
     init = sa.spectral_init(model.observed, 30, seed)
-    traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
+    traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
     ledger = sa.build_ledger(model, traj, aux_seed=4242)
     return model, traj, ledger
 
@@ -35,6 +35,6 @@ def sparse_run():
     rng = np.random.default_rng(99)
     x1 = lam * v + rng.standard_normal(n) / np.sqrt(n)
     tau = sa.default_tau(n)
-    traj = sa.run_amp(model, "soft-threshold", x1, np.zeros(n), T, tau=tau)
+    traj = sa.run_amp(model, lambda x: sa.fit_soft_threshold(x, tau), x1, np.zeros(n), T)
     ledger = sa.build_ledger(model, traj, aux_seed=777)
     return model, traj, ledger

@@ -62,7 +62,7 @@ def test_criterion_01_decomposition_exactness():
         v = sa.make_signal(kind="z2", n=n, seed=tseed)
         model = sa.make_spiked(lam, v, sa.sample_wigner(n, tseed))
         init = sa.spectral_init(model.observed, sa.default_power_steps(n, lam), tseed)
-        traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
+        traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
         assert traj.failure is None
         ledger = sa.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))
         for t in range(1, len(ledger.xis) + 1):
@@ -98,7 +98,7 @@ def test_criterion_02_phi_gaussianity():
         model = sa.make_spiked(lam, v, sa.sample_wigner(n, tseed))
         g = substream(tseed, "c2-init").normal(0.0, 1.0 / np.sqrt(n), size=n)
         x1 = np.sqrt(lam * lam - 1.0) * model.v_star + g
-        traj = sa.run_amp(model, "tanh-z2", x1, x1 / lam, T)
+        traj = sa.run_amp(model, sa.fit_tanh, x1, x1 / lam, T)
         if traj.failure is not None:
             continue
         ledger = sa.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))

@@ -54,8 +54,8 @@ def test_trajectory_lengths_and_states(z2_run):
 def test_run_amp_deterministic():
     model = _z2_model(80, 1.5, 21)
     init = sa.spectral_init(model.observed, 10, 21)
-    a = sa.run_amp(model, "tanh-z2", 1.5 * init.x1, init.x1, 5)
-    b = sa.run_amp(model, "tanh-z2", 1.5 * init.x1, init.x1, 5)
+    a = sa.run_amp(model, sa.fit_tanh, 1.5 * init.x1, init.x1, 5)
+    b = sa.run_amp(model, sa.fit_tanh, 1.5 * init.x1, init.x1, 5)
     for xa, xb in zip(a.iterates, b.iterates):
         np.testing.assert_array_equal(xa, xb)
 
@@ -65,7 +65,7 @@ def test_run_amp_failure_capture():
     # must record the failure instead of raising, with consistent lengths.
     model = _z2_model(50, 1.2, 3)
     x1 = model.observed[:, 0] * 0.01
-    traj = sa.run_amp(model, "soft-threshold", x1, np.zeros(50), 4, tau=100.0)
+    traj = sa.run_amp(model, lambda x: sa.fit_soft_threshold(x, 100.0), x1, np.zeros(50), 4)
     assert traj.failure is not None
     t_fail, msg = traj.failure
     assert t_fail == 1
@@ -74,26 +74,48 @@ def test_run_amp_failure_capture():
     assert len(traj.denoised) == 0
 
 
-def test_failing_fit_still_hands_out_its_iterate(monkeypatch):
+def test_amp_steps_fits_each_iterate_once():
+    # the engine calls the given fit once per x_t, in order, on the array it
+    # yields, and the step carries the state that call returned
+    model = _z2_model(80, 1.5, 21)
+    init = sa.spectral_init(model.observed, 10, 21)
+    seen, states = [], []
+
+    def fit(x):
+        seen.append(x)
+        states.append(denoise.fit_tanh(x))
+        return states[-1]
+
+    steps = sa.amp_steps(model, fit, 1.5 * init.x1, init.x1, 5)
+    first = next(steps)
+    assert len(seen) == 1 and first.x is seen[0]
+    rest = list(steps)
+    assert [s.t for s in rest] == [2, 3, 4, 5] and len(seen) == 5
+    for step in (first, *rest):
+        assert step.x is seen[step.t - 1]
+        assert step.state is states[step.t - 1]
+        np.testing.assert_array_equal(step.eta, denoise.apply(step.state, step.x))
+
+
+def test_failing_fit_still_hands_out_its_iterate():
     # the fit of x_3 degenerates: the generator yields x_3 with the failure
     # and stops, and run_amp keeps x_3 but no fit of it
     model = _z2_model(80, 1.5, 21)
     init = sa.spectral_init(model.observed, 10, 21)
-    fit, calls = denoise.fit_tanh, []
+    calls = []
 
-    def failing(x, n):
+    def failing(x):
         calls.append(x)
         if len(calls) == 3:
             raise denoise.DegenerateIterateError("synthetic degenerate fit")
-        return fit(x, n)
+        return denoise.fit_tanh(x)
 
-    monkeypatch.setattr(denoise, "fit_tanh", failing)
-    steps = list(sa.amp_steps(model, "tanh-z2", 1.5 * init.x1, init.x1, 6))
+    steps = list(sa.amp_steps(model, failing, 1.5 * init.x1, init.x1, 6))
     assert [s.t for s in steps] == [1, 2, 3]
     assert steps[-1].x is calls[2]
     assert steps[-1][2:] == (None, None, None, "synthetic degenerate fit")
     calls.clear()
-    traj = sa.run_amp(model, "tanh-z2", 1.5 * init.x1, init.x1, 6)
+    traj = sa.run_amp(model, failing, 1.5 * init.x1, init.x1, 6)
     assert traj.failure == (3, "synthetic degenerate fit")
     assert len(traj.iterates) == 3 and traj.iterates[2] is calls[2]
     assert len(traj.denoised) == len(traj.states) == len(traj.onsager) == 2
@@ -102,7 +124,7 @@ def test_failing_fit_still_hands_out_its_iterate(monkeypatch):
 def test_run_amp_rejects_bad_T():
     model = _z2_model(20, 1.2, 3)
     with pytest.raises(ValueError):
-        sa.run_amp(model, "tanh-z2", np.ones(20), np.ones(20), 0)
+        sa.run_amp(model, sa.fit_tanh, np.ones(20), np.ones(20), 0)
 
 
 def test_spectral_init_reconstruction():

@@ -85,7 +85,7 @@ def test_extend_basis_degenerate_error():
     v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
     init = sa.spectral_init(model.observed, 2, seed)
-    traj = sa.run_amp(model, "tanh-z2", lam * init.x1, init.x1, T)
+    traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
     assert traj.failure is None
     with pytest.raises(decomp.BasisDegenerateError):
         decomp.build_ledger(model, traj, aux_seed=0)
@@ -346,8 +346,9 @@ def test_gaussianity_report_prefix(z2_run):
 def test_gaussianity_report_needs_two(sparse_run):
     # a T = 2 run with eta_0 = 0 leaves a ledger with a single phi
     model, traj, _ = sparse_run
-    short = sa.run_amp(model, "soft-threshold", traj.iterates[0], traj.eta0_of_x0,
-                       2, tau=traj.states[0].tau)
+    tau = traj.states[0].tau
+    short = sa.run_amp(model, lambda x: sa.fit_soft_threshold(x, tau), traj.iterates[0],
+                       traj.eta0_of_x0, 2)
     ledger = decomp.build_ledger(model, short, aux_seed=0)
     assert len(ledger.phis) == 1
     with pytest.raises(ValueError):

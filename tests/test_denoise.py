@@ -18,7 +18,7 @@ def _fd_derivative_avg(state, x, h=1e-6):
 
 def test_tanh_fit_pi_formula():
     x = np.array([1.2, -0.4, 0.9, 0.3])
-    state = denoise.fit_tanh(x, n=4)
+    state = denoise.fit_tanh(x)
     want_pi = np.sqrt(4 * (float(x @ x) - 1.0))
     assert abs(state.pi - want_pi) < 1e-14
     assert abs(np.linalg.norm(denoise.apply(state, x)) - 1.0) < 1e-12
@@ -26,20 +26,20 @@ def test_tanh_fit_pi_formula():
 
 def test_tanh_fit_clamps_subunit_norm():
     x = np.full(4, 0.1)  # ||x||^2 = 0.04 < 1 triggers the clamp
-    state = denoise.fit_tanh(x, n=4)
+    state = denoise.fit_tanh(x)
     assert state.pi == pytest.approx(np.sqrt(4 * 1e-12))
 
 
 def test_tanh_fit_zero_vector_degenerate():
     with pytest.raises(denoise.DegenerateIterateError):
-        denoise.fit_tanh(np.zeros(5), n=5)
+        denoise.fit_tanh(np.zeros(5))
 
 
 def test_fits_normalize_tiny_iterates():
     # the squares of these entries underflow; the fitted map must still
     # normalize instead of calling the iterate degenerate
     x = np.full(4, 1e-200)
-    for state in (denoise.fit_tanh(x, n=4), denoise.fit_soft_threshold(x, 0.0)):
+    for state in (denoise.fit_tanh(x), denoise.fit_soft_threshold(x, 0.0)):
         assert abs(np.linalg.norm(denoise.apply(state, x)) - 1.0) < 1e-12
 
 
@@ -53,7 +53,7 @@ def test_fits_reject_unnormalizable_iterate():
 def test_tanh_derivative_matches_finite_difference():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(200) * 1.3
-    state = denoise.fit_tanh(x, n=200)
+    state = denoise.fit_tanh(x)
     assert abs(denoise.derivative_avg(state, x) - _fd_derivative_avg(state, x)) < 1e-6
 
 
@@ -150,7 +150,7 @@ def test_soft_threshold_fit_property(x, tau):
 )
 def test_tanh_apply_bounded_property(x):
     try:
-        state = denoise.fit_tanh(x, n=len(x))
+        state = denoise.fit_tanh(x)
     except denoise.DegenerateIterateError:
         return
     out = denoise.apply(state, x)

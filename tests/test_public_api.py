@@ -39,16 +39,43 @@ def test_package_reexports_are_public():
     assert stray == []
 
 
+def _module_tree(name: str) -> ast.Module:
+    path = Path(spiked_amp.__file__).with_name(f"{name}.py")
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_harness_imports_no_private_names():
     # benchmarks trace the harness by patching the names it looks up in its
     # own namespace; a private helper imported in their place goes untraced
-    path = Path(spiked_amp.__file__).with_name("harness.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
     private = [
         f"{node.module}.{a.name}"
-        for node in ast.walk(tree)
+        for node in ast.walk(_module_tree("harness"))
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for a in node.names
         if a.name.startswith("_")
     ]
     assert private == []
+
+
+def test_harness_reads_the_fits_off_denoise():
+    # benchmarks and the failing-fit tests patch denoise.fit_tanh and
+    # denoise.fit_soft_threshold; a harness that imported them by name, or
+    # bound them in a functools.partial, would run the unpatched functions
+    fits = {"fit_tanh", "fit_soft_threshold"}
+    tree = _module_tree("harness")
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    attrs = {(node.value.id if isinstance(node.value, ast.Name) else None, node.attr)
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported & (fits | {"partial"}) == set()
+    assert {("denoise", fit) for fit in fits} <= attrs
+    assert "partial" not in names | {attr for _, attr in attrs}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "denoise"] + ["cli", "__init__"])
+def test_family_names_live_in_denoise(name):
+    # the AMP engine and its callers pass a fit; only denoise names the families
+    literals = {node.value for node in ast.walk(_module_tree(name))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert literals & {"tanh-z2", "soft-threshold"} == set()

@@ -85,6 +85,13 @@ def test_oracle_normalizes_huge_blocks(scale):
     assert np.linalg.norm(est) == 1.0
 
 
+def test_oracle_reports_overflowing_block():
+    # ||B y|| itself is beyond the float64 range: a named failure, not a
+    # zero estimate from dividing by inf
+    with pytest.raises(ValueError, match="block power step 1 overflowed"):
+        sparse_init.oracle_estimate(np.full((6, 6), 1e308), 2)
+
+
 def test_oracle_truncates_to_selected_block():
     # signal on coordinates {0, 3}; a huge unrelated diagonal at 2 draws
     # one selection slot, but 2 * k_hint = 2 slots keep the larger of the
