@@ -32,7 +32,9 @@ from .decomp import (
 )
 from .denoise import (
     DegenerateIterateError,
-    DenoiserState,
+    Denoiser,
+    SoftThresholdDenoiser,
+    TanhDenoiser,
     default_tau,
     fit_soft_threshold,
     fit_tanh,
@@ -69,9 +71,8 @@ from .sparse_init import (
     SplitRound,
     default_split_params,
     diag_max_init,
-    oracle_estimate,
     sample_split_init,
     sample_split_rounds,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import dsymv
 
-from . import denoise
 from ._rng import substream
-from .denoise import DegenerateIterateError, DenoiserState
+from .denoise import DegenerateIterateError, Denoiser, _scaled_norm
 from .model import SpikedModel
 
 __all__ = [
@@ -43,15 +42,16 @@ __all__ = [
 class AmpTrajectory:
     """Iterates x_1..x_T with the per-iteration denoiser bookkeeping.
 
-    states[t-1] = fit(x_t), denoised[t-1] = eta_t(x_t) and onsager[t-1] =
-    <eta_t'(x_t)>, all on iterates[t-1].  When the fit of x_t degenerates the
-    run stops early and `failure` carries (t, message); `iterates` then ends
-    at that x_t, so len(iterates) == t, and the other lists end at t - 1.
+    states[t-1] = fit(x_t) is the fitted Denoiser eta_t, denoised[t-1] =
+    eta_t.eta(x_t) and onsager[t-1] = eta_t.onsager(x_t), all on
+    iterates[t-1].  When the fit of x_t degenerates the run stops early and
+    `failure` carries (t, message); `iterates` then ends at that x_t, so
+    len(iterates) == t, and the other lists end at t - 1.
     """
 
     iterates: list[np.ndarray]
     denoised: list[np.ndarray]
-    states: list[DenoiserState]
+    states: list[Denoiser]
     onsager: list[float]
     eta0_of_x0: np.ndarray
     failure: tuple[int, str] | None = None
@@ -85,7 +85,8 @@ def amp_step(
 
 
 class AmpStep(NamedTuple):
-    """Iterate x_t with its fit: the denoiser state, eta_t(x_t) and <eta_t'(x_t)>.
+    """Iterate x_t with its fit: the fitted Denoiser eta_t as `state`, then
+    eta = state.eta(x) and onsager = state.onsager(x).
 
     When the fit of x_t degenerates, `failure` holds the message and the
     three fit fields are None.
@@ -93,7 +94,7 @@ class AmpStep(NamedTuple):
 
     t: int
     x: np.ndarray
-    state: DenoiserState | None
+    state: Denoiser | None
     eta: np.ndarray | None
     onsager: float | None
     failure: str | None = None
@@ -101,17 +102,18 @@ class AmpStep(NamedTuple):
 
 def amp_steps(
     model: SpikedModel,
-    fit: Callable[[np.ndarray], DenoiserState],
+    fit: Callable[[np.ndarray], Denoiser],
     x1: np.ndarray,
     eta0_of_x0: np.ndarray,
     T: int,
 ) -> Iterator[AmpStep]:
     """Yield the AmpStep of t = 1..T, holding only x_t, eta_t and eta_{t-1}.
 
-    fit(x_t) runs once per step, on the x the step yields; a degenerate fit
-    is yielded as that step's `failure` and ends the run.  Arguments are
-    those of run_amp, and T < 1 raises ValueError at the first step.
-    model.observed must be symmetric; only its upper triangle is read.
+    fit(x_t) runs once per step, on the x the step yields, and the step
+    calls the returned denoiser's eta(x_t) and onsager(x_t) once each; a
+    degenerate fit is yielded as that step's `failure` and ends the run.
+    Arguments are those of run_amp, and T < 1 raises ValueError at the first
+    step.  model.observed must be symmetric; only its upper triangle is read.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -124,8 +126,8 @@ def amp_steps(
         except DegenerateIterateError as exc:
             yield AmpStep(t, x, None, None, None, str(exc))
             return
-        eta = denoise.apply(state, x)
-        ons = denoise.derivative_avg(state, x)
+        eta = state.eta(x)
+        ons = state.onsager(x)
         yield AmpStep(t, x, state, eta, ons)
         if t < T:
             x = amp_step(M, eta, eta_prev, ons)
@@ -134,17 +136,18 @@ def amp_steps(
 
 def run_amp(
     model: SpikedModel,
-    fit: Callable[[np.ndarray], DenoiserState],
+    fit: Callable[[np.ndarray], Denoiser],
     x1: np.ndarray,
     eta0_of_x0: np.ndarray,
     T: int,
 ) -> AmpTrajectory:
     """Run T iterations from x1 and keep every iterate and fit.
 
-    fit maps x_t to eta_t's DenoiserState, e.g. denoise.fit_tanh.  eta0_of_x0
-    is the step-0 convention: x1/lam for the spectrally initialized tanh
-    pipeline, zero for the sparse pipeline.  model.observed must be
-    symmetric; only its upper triangle is read.
+    fit maps x_t to the fitted denoiser eta_t, any object with the Denoiser
+    methods eta and onsager, e.g. denoise.fit_tanh.  eta0_of_x0 is the
+    step-0 convention: x1/lam for the spectrally initialized tanh pipeline,
+    zero for the sparse pipeline.  model.observed must be symmetric; only its
+    upper triangle is read.
     """
     steps = list(amp_steps(model, fit, x1, eta0_of_x0, T))
     fitted = [step for step in steps if step.failure is None]
@@ -196,14 +199,22 @@ def default_power_steps(n: int, lam: float) -> int:
 
 
 def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
-    """s power steps from y, renormalized every step to avoid overflow; the unit iterate."""
+    """s power steps from y, renormalized every step to avoid overflow; the unit iterate.
+
+    Only a non-finite ||M y|| searches M for a non-finite entry to name, so
+    a finite run allocates no n x n mask.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     for step in range(1, s + 1):
         y = _symv(M, y)
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            nrm = denoise._scaled_norm(y)
+            nrm = _scaled_norm(y)
         if not np.isfinite(nrm):
+            bad = np.argwhere(np.triu(~np.isfinite(M)))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"M[{i}, {j}] = {float(M[i, j])!r} is not finite")
             raise ValueError(f"power step {step} overflowed: ||M y|| = {nrm!r} is not finite")
         if nrm == 0.0:
             raise ValueError(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import denoise
 from ._rng import substream
 from .amp import AmpTrajectory, _symv
 from .model import SpikedModel
@@ -208,6 +207,8 @@ def residual_diagnostics(
     v_t is the iterate with its own residual removed; delta_t measures how
     far the denoiser moves when that residual is added back, and Delta_t is
     the centered cross term between the residual direction and the phis.
+    Both evaluate the denoiser fitted on x_t, trajectory.states[t - 1], at
+    v_t through its eta and onsager methods.
     """
     if t < 1 or t > len(ledger.xis):
         raise ValueError(f"no recorded decomposition for iteration {t}")
@@ -218,10 +219,10 @@ def residual_diagnostics(
     beta_prev = ledger.basis[:L_prev] @ eta_prev
     v_t = alpha_t * model.v_star + beta_prev @ ledger.phis[:L_prev]
 
-    state = trajectory.states[t - 1]  # the state fitted on x_t
-    eta_v = denoise.apply(state, v_t)
+    state = trajectory.states[t - 1]  # the denoiser fitted on x_t
+    eta_v = state.eta(v_t)
     delta = trajectory.denoised[t - 1] - eta_v
-    eta_v_prime = denoise.derivative_avg(state, v_t)
+    eta_v_prime = state.onsager(v_t)
     delta_prime = trajectory.onsager[t - 1] - eta_v_prime
 
     mu = ledger.basis[:L] @ ledger.xis[t - 1] / ledger.xi_norms[t - 1]

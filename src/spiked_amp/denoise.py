@@ -1,10 +1,11 @@
 """Separable denoisers eta_t with data-driven per-iteration parameters.
 
-Two families:
+Each fit maps an iterate x_t to a frozen denoiser that evaluates itself:
 
-* "tanh-z2":        eta(x) = gamma * tanh(pi * x), with pi fitted from the
-                    iterate's norm and gamma normalizing eta(x_t) to unit norm.
-* "soft-threshold": eta(x) = gamma * sign(x) (|x| - tau)_+, gamma likewise.
+* fit_tanh -> TanhDenoiser:  eta(x) = gamma * tanh(pi * x), with pi fitted
+  from the iterate's norm and gamma normalizing eta(x_t) to unit norm.
+* fit_soft_threshold -> SoftThresholdDenoiser:  eta(x) = gamma * sign(x)
+  (|x| - tau)_+, gamma likewise.
 
 The derivative convention at soft-threshold kinks is 0, and so is every
 higher derivative there.
@@ -13,15 +14,16 @@ higher derivative there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
     "EPS_CLAMP",
     "DegenerateIterateError",
-    "DenoiserState",
-    "apply",
-    "derivative_avg",
+    "Denoiser",
+    "SoftThresholdDenoiser",
+    "TanhDenoiser",
     "fit_soft_threshold",
     "fit_tanh",
     "default_tau",
@@ -39,12 +41,43 @@ class DegenerateIterateError(ValueError):
     """Raised when a fit would produce an all-zero denoised vector."""
 
 
+class Denoiser(Protocol):
+    """What the AMP engine asks of a fitted denoiser eta_t: eta(x) entrywise
+    and onsager(x) = (1/n) sum_i eta'(x_i), the Onsager coefficient."""
+
+    def eta(self, x: np.ndarray) -> np.ndarray: ...
+
+    def onsager(self, x: np.ndarray) -> float: ...
+
+
 @dataclass(frozen=True)
-class DenoiserState:
-    family: str  # "tanh-z2" | "soft-threshold"
-    pi: float = 0.0
-    gamma: float = 1.0
-    tau: float = 0.0
+class TanhDenoiser:
+    """eta(x) = gamma * tanh(pi * x)."""
+
+    pi: float
+    gamma: float
+
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return self.gamma * np.tanh(self.pi * x)
+
+    def onsager(self, x: np.ndarray) -> float:
+        th = np.tanh(self.pi * x)
+        return float(np.mean(self.gamma * self.pi * (1.0 - th * th)))
+
+
+@dataclass(frozen=True)
+class SoftThresholdDenoiser:
+    """eta(x) = gamma * sign(x) (|x| - tau)_+; entries exactly at a kink add 0 to onsager."""
+
+    tau: float
+    gamma: float
+
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return self.gamma * soft_threshold(x, self.tau)
+
+    def onsager(self, x: np.ndarray) -> float:
+        # the fraction first: gamma * (count / n) cannot round above gamma
+        return float(self.gamma * (np.count_nonzero(np.abs(x) > self.tau) / len(x)))
 
 
 def _scaled_norm(v: np.ndarray) -> float:
@@ -69,26 +102,27 @@ def _inverse_norm(v: np.ndarray, fit: str) -> float:
     return gamma
 
 
-def fit_tanh(x_t: np.ndarray) -> DenoiserState:
+def fit_tanh(x_t: np.ndarray) -> TanhDenoiser:
     """Fit the tanh family on iterate x_t of length n: pi = sqrt(n (||x_t||^2 - 1))."""
     sq = float(x_t @ x_t)
     pi = float(np.sqrt(x_t.shape[0] * max(sq - 1.0, EPS_CLAMP)))
     th = np.tanh(pi * x_t)
     if not np.any(th):
         raise DegenerateIterateError("tanh fit: tanh(pi x_t) is identically 0")
-    return DenoiserState(family="tanh-z2", pi=pi, gamma=_inverse_norm(th, "tanh fit"))
+    return TanhDenoiser(pi, _inverse_norm(th, "tanh fit"))
 
 
-def fit_soft_threshold(x_t: np.ndarray, tau: float) -> DenoiserState:
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+def fit_soft_threshold(x_t: np.ndarray, tau: float) -> SoftThresholdDenoiser:
+    """Fit the soft-threshold family on iterate x_t at a finite threshold tau >= 0."""
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if not np.any(np.abs(x_t) > tau):
         raise DegenerateIterateError(
             f"soft-threshold fit: no entry above tau={tau:g} "
             "(signal too weak or threshold too large)"
         )
     gamma = _inverse_norm(soft_threshold(x_t, tau), "soft-threshold fit")
-    return DenoiserState(family="soft-threshold", gamma=gamma, tau=tau)
+    return SoftThresholdDenoiser(tau, gamma)
 
 
 def default_tau(n: int, c_tau: float = 2.0) -> float:
@@ -98,27 +132,3 @@ def default_tau(n: int, c_tau: float = 2.0) -> float:
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
-def apply(state: DenoiserState, x: np.ndarray) -> np.ndarray:
-    """Evaluate eta entrywise."""
-    if state.family == "tanh-z2":
-        return state.gamma * np.tanh(state.pi * x)
-    if state.family == "soft-threshold":
-        return state.gamma * soft_threshold(x, state.tau)
-    raise ValueError(f"unknown denoiser family {state.family!r}")
-
-
-def derivative_avg(state: DenoiserState, x: np.ndarray) -> float:
-    """Return (1/n) sum_i eta'(x_i), the Onsager coefficient.
-
-    Entries exactly at a soft-threshold kink contribute 0.
-    """
-    n = len(x)
-    if state.family == "tanh-z2":
-        th = np.tanh(state.pi * x)
-        return float(np.mean(state.gamma * state.pi * (1.0 - th * th)))
-    if state.family == "soft-threshold":
-        # the fraction first: gamma * (count / n) cannot round above gamma
-        return float(state.gamma * (np.count_nonzero(np.abs(x) > state.tau) / n))
-    raise ValueError(f"unknown denoiser family {state.family!r}")

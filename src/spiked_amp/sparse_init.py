@@ -34,7 +34,6 @@ __all__ = [
     "SplitRound",
     "default_split_params",
     "diag_max_init",
-    "oracle_estimate",
     "sample_split_init",
     "sample_split_rounds",
 ]
@@ -66,8 +65,13 @@ def _block_power(B: np.ndarray) -> np.ndarray | None:
     """Unit top eigenvector of B by power iteration; None when B @ y is zero.
 
     Starts at the basis vector of B's largest |diagonal| entry, so the
-    result is deterministic; a non-finite ||B y|| raises ValueError.
+    result is deterministic.  A non-finite entry of B, or a non-finite
+    ||B y|| on the way, raises ValueError.
     """
+    bad = np.argwhere(~np.isfinite(B))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"block entry B[{i}, {j}] = {float(B[i, j])!r} is not finite")
     y = np.zeros(B.shape[0])
     y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
     for step in range(1, 201):
@@ -84,34 +88,6 @@ def _block_power(B: np.ndarray) -> np.ndarray | None:
         if moved < 1e-13:
             break
     return y
-
-
-def oracle_estimate(M_sub: np.ndarray, k_hint: int) -> np.ndarray:
-    """Diagonal-thresholding estimate of a sparse spike inside M_sub.
-
-    Keeps the 2*k_hint coordinates with the largest (signed) diagonal
-    entries, power-iterates on that principal block, and zero-pads back to
-    the submatrix's index range.  A stand-in for the covariance-thresholding
-    estimators from the sparse-PCA literature; swap freely as long as the
-    output is a unit vector over the same index range.
-
-    The power iteration starts at the basis vector of the block's largest
-    |diagonal| entry, so the whole routine is deterministic.  An all-zero
-    block returns e_1.
-    """
-    m = M_sub.shape[0]
-    if m < 1:
-        raise ValueError("submatrix is empty")
-    if k_hint < 1:
-        raise ValueError("k_hint must be positive")
-    sel = _oracle_selection(np.diagonal(M_sub), k_hint)
-    y = _block_power(M_sub[np.ix_(sel, sel)])
-    out = np.zeros(m)
-    if y is None:
-        out[0] = 1.0
-    else:
-        out[sel] = y
-    return out
 
 
 @dataclass(frozen=True)

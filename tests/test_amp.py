@@ -1,6 +1,7 @@
 """AMP recursion, trajectory invariants, spectral initializer and refinement."""
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_trajectory_lengths_and_states(z2_run):
     assert len(traj.states) == len(traj.onsager) == 8
     assert traj.failure is None
     for x, state in zip(traj.iterates, traj.states):
-        assert abs(np.linalg.norm(denoise.apply(state, x)) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.eta(x)) - 1.0) < 1e-10
 
 
 def test_run_amp_deterministic():
@@ -94,7 +95,48 @@ def test_amp_steps_fits_each_iterate_once():
     for step in (first, *rest):
         assert step.x is seen[step.t - 1]
         assert step.state is states[step.t - 1]
-        np.testing.assert_array_equal(step.eta, denoise.apply(step.state, step.x))
+        np.testing.assert_array_equal(step.eta, step.state.eta(step.x))
+
+
+@dataclass(frozen=True)
+class _Arctan:
+    """eta(x) = gamma arctan(c x), a denoiser the package does not ship."""
+
+    c: float
+    gamma: float
+
+    def eta(self, x):
+        return self.gamma * np.arctan(self.c * x)
+
+    def onsager(self, x):
+        return float(np.mean(self.gamma * self.c / (1.0 + (self.c * x) ** 2)))
+
+
+def _fit_arctan(x):
+    c = np.sqrt(x.size)
+    return _Arctan(c, 1.0 / float(np.linalg.norm(np.arctan(c * x))))
+
+
+def test_engine_runs_any_denoiser():
+    # the loop, the ledger and the diagnostics use only the Denoiser methods
+    # eta and onsager, so a denoiser defined outside the package runs through
+    model = _z2_model(120, 1.5, 5)
+    init = sa.spectral_init(model.observed, 20, 5)
+    steps = list(sa.amp_steps(model, _fit_arctan, 1.5 * init.x1, init.x1, 6))
+    assert [s.failure for s in steps] == [None] * 6
+    for step in steps:
+        assert isinstance(step.state, _Arctan)
+        np.testing.assert_array_equal(step.eta, step.state.eta(step.x))
+        assert step.onsager == step.state.onsager(step.x)
+    traj = sa.run_amp(model, _fit_arctan, 1.5 * init.x1, init.x1, 6)
+    assert traj.failure is None and traj.states == [s.state for s in steps]
+    for x, eta, step in zip(traj.iterates, traj.denoised, steps):
+        np.testing.assert_array_equal(x, step.x)
+        np.testing.assert_array_equal(eta, step.eta)
+    ledger = sa.build_ledger(model, traj, aux_seed=9)
+    for t in range(1, len(ledger.xis) + 1):
+        diag = sa.residual_diagnostics(ledger, model, traj, t)
+        assert np.isfinite([diag.delta_norm, diag.delta_prime_avg, diag.Delta_abs]).all()
 
 
 def test_failing_fit_still_hands_out_its_iterate():
@@ -250,3 +292,14 @@ def test_power_steps_normalize_huge_matrices(scale):
 def test_power_steps_name_overflow():
     with pytest.raises(ValueError, match="overflowed"):
         sa.spectral_init(np.full((50, 50), 1e308), 3, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_power_steps_name_a_nonfinite_matrix(bad):
+    # a NaN or inf in M is named as such, not reported as an overflow
+    with pytest.raises(ValueError, match=rf"M\[0, 0\] = {bad!r} is not finite"):
+        sa.spectral_init(np.full((6, 6), bad), 2, 1)
+    M = np.eye(6)
+    M[2, 4] = M[4, 2] = bad
+    with pytest.raises(ValueError, match=rf"M\[2, 4\] = {bad!r} is not finite"):
+        sa.top_eigenpair(M, np.ones(6) / np.sqrt(6.0), 2)

@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 import spiked_amp as sa
-from spiked_amp import decomp, denoise
+from spiked_amp import decomp
 from spiked_amp._rng import substream
 
 SQ2H = np.sqrt(2.0) / 2.0 - 1.0
@@ -239,14 +239,14 @@ def test_residual_diagnostics_consistency(z2_run):
     beta_prev = np.array([ledger.basis[j] @ eta_prev for j in range(L_prev)])
     v_t = alpha_t * model.v_star + np.stack(ledger.phis[:L_prev], axis=1) @ beta_prev
     state = traj.states[t - 1]
-    delta = traj.denoised[t - 1] - denoise.apply(state, v_t)
+    delta = traj.denoised[t - 1] - state.eta(v_t)
     assert diag.delta_norm == pytest.approx(np.linalg.norm(delta), abs=1e-12)
-    dpa = traj.onsager[t - 1] - denoise.derivative_avg(state, v_t)
+    dpa = traj.onsager[t - 1] - state.onsager(v_t)
     assert diag.delta_prime_avg == pytest.approx(dpa, abs=1e-12)
 
-    eta_v_prime = denoise.derivative_avg(state, v_t)
+    eta_v_prime = state.onsager(v_t)
     Delta = sum(
-        mu[k] * (float(ledger.phis[k] @ denoise.apply(state, v_t)) - eta_v_prime * beta_prev[k])
+        mu[k] * (float(ledger.phis[k] @ state.eta(v_t)) - eta_v_prime * beta_prev[k])
         for k in range(L_prev)
     )
     assert diag.Delta_abs == pytest.approx(abs(Delta), abs=1e-12)
@@ -276,10 +276,10 @@ def test_norm_identity_regrouped(z2_run, sparse_run):
             v_t = alpha_t * model.v_star
             if L_prev:
                 v_t = v_t + np.stack(ledger.phis[:L_prev], axis=1) @ beta_prev
-            eta_v = denoise.apply(state, v_t)
+            eta_v = state.eta(v_t)
             delta = eta_t - eta_v
-            dp = traj.onsager[t - 1] - denoise.derivative_avg(state, v_t)
-            evp = denoise.derivative_avg(state, v_t)
+            dp = traj.onsager[t - 1] - state.onsager(v_t)
+            evp = state.onsager(v_t)
 
             Delta = sum(
                 mu[k] * (float(ledger.phis[k] @ eta_v) - evp * beta_prev[k])

@@ -62,17 +62,32 @@ def test_diag_max_ignores_off_diagonal(diag, seed):
 # restricted-block power oracle
 
 
+def _oracle_estimate(M_sub, k_hint):
+    """The oracle on a whole block M_sub: power iteration on the principal
+    block of its 2 k_hint largest diagonal entries, zero-padded back to
+    M_sub's index range; an all-zero block gives e_1.  The split rounds
+    compute the same estimate but read only the selected block."""
+    sel = sparse_init._oracle_selection(np.diagonal(M_sub), k_hint)
+    y = sparse_init._block_power(M_sub[np.ix_(sel, sel)])
+    out = np.zeros(M_sub.shape[0])
+    if y is None:
+        out[0] = 1.0
+    else:
+        out[sel] = y
+    return out
+
+
 def test_oracle_noiseless_rank_one_mixed_signs():
     v = np.array([3.0, -4.0, 1.0, -2.0, 5.0])
     v /= np.linalg.norm(v)
-    est = sparse_init.oracle_estimate(1.7 * np.outer(v, v), k_hint=5)
+    est = _oracle_estimate(1.7 * np.outer(v, v), k_hint=5)
     err = min(np.linalg.norm(est - v), np.linalg.norm(est + v))
     assert err < 1e-8
     assert np.linalg.norm(est) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_zero_matrix_degenerate():
-    est = sparse_init.oracle_estimate(np.zeros((4, 4)), k_hint=2)
+    est = _oracle_estimate(np.zeros((4, 4)), k_hint=2)
     np.testing.assert_array_equal(est, [1.0, 0.0, 0.0, 0.0])
 
 
@@ -80,7 +95,7 @@ def test_oracle_zero_matrix_degenerate():
 def test_oracle_normalizes_huge_blocks(scale):
     # ||B y||^2 overflows here, ||B y|| does not: the power steps divide by
     # the scaled norm, so the estimate is a unit basis vector, not zero
-    est = sparse_init.oracle_estimate(np.eye(6) * scale, 2)
+    est = _oracle_estimate(np.eye(6) * scale, 2)
     assert np.count_nonzero(est) == 1
     assert np.linalg.norm(est) == 1.0
 
@@ -89,7 +104,16 @@ def test_oracle_reports_overflowing_block():
     # ||B y|| itself is beyond the float64 range: a named failure, not a
     # zero estimate from dividing by inf
     with pytest.raises(ValueError, match="block power step 1 overflowed"):
-        sparse_init.oracle_estimate(np.full((6, 6), 1e308), 2)
+        _oracle_estimate(np.full((6, 6), 1e308), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_power_names_a_nonfinite_entry(bad):
+    # checked before the first product, so numpy never warns on B @ y
+    B = np.eye(4)
+    B[1, 3] = B[3, 1] = bad
+    with pytest.raises(ValueError, match=rf"B\[1, 3\] = {bad!r} is not finite"):
+        sparse_init._block_power(B)
 
 
 def test_oracle_truncates_to_selected_block():
@@ -100,7 +124,7 @@ def test_oracle_truncates_to_selected_block():
     v[0], v[3] = 0.6, 0.8
     M = 2.0 * np.outer(v, v)
     M[2, 2] = 50.0
-    est = sparse_init.oracle_estimate(M, k_hint=1)
+    est = _oracle_estimate(M, k_hint=1)
     outside = [1, 4]
     assert np.all(est[outside] == 0.0)
 
@@ -111,7 +135,7 @@ def test_oracle_pure_noise_no_hallucinated_signal():
     hits = 0
     for seed in range(20):
         W = sa.sample_wigner(m, seed)
-        est = sparse_init.oracle_estimate(W, k_hint=10)
+        est = _oracle_estimate(W, k_hint=10)
         if abs(float(v @ est)) <= 5.0 / np.sqrt(m):
             hits += 1
     assert hits >= 18
@@ -283,7 +307,7 @@ def _dense_rounds(model, p, N, tau1, seed, k_hint):
         if I.size == 0 or Ic.size == 0:
             out.append((I, Ic, None, float("-inf"), True, ()))
             continue
-        est = sparse_init.oracle_estimate(M[np.ix_(I, I)], k_hint)
+        est = _oracle_estimate(M[np.ix_(I, I)], k_hint)
         x_raw = soft_threshold(M[np.ix_(Ic, I)] @ est, tau1)
         nrm = float(np.linalg.norm(x_raw))
         if nrm == 0.0:
