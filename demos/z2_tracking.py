@@ -34,9 +34,8 @@ def main() -> int:
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
     s = sa.default_power_steps(args.n, args.lam)
     init = sa.spectral_init(model.observed, s, args.seed)
-    eig = sa.top_eigenpair(model.observed, init.x1, init.s)
-    print(f"[setup] n={args.n} lambda={args.lam} power steps={s} "
-          f"lambda_max={eig.lambda_max:.4f}")
+    print(f"[setup] n={args.n} lambda={args.lam} Lanczos matvecs={init.s} (cap {s}) "
+          f"lambda_max={init.lambda_max:.4f}")
     print(f"[setup] start overlap <x1, v*> = {float(init.x1 @ model.v_star):+.4f}")
 
     traj = sa.run_amp(model, sa.fit_tanh, args.lam * init.x1, init.x1, args.T)

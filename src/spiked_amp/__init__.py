@@ -12,13 +12,11 @@ from .amp import (
     AmpStep,
     AmpTrajectory,
     SpectralInit,
-    TopEigenpair,
     amp_step,
     amp_steps,
     default_power_steps,
     run_amp,
     spectral_init,
-    top_eigenpair,
 )
 from .decomp import (
     BasisDegenerateError,
@@ -75,4 +73,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -1,6 +1,6 @@
 """The AMP engine: single step, the step generator and the full runs it
-collects, spectral initialization and the top-eigenpair refinement that only
-eigenvalue experiments need.
+collects, and the spectral start, a Lanczos run that gives the top eigenpair
+of M.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
 (dsymv), which reads only M's upper triangle: M must be symmetric, and an
@@ -13,11 +13,13 @@ in, so the same trajectory is reproducible from its inputs alone.
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dsymv
 
 from ._rng import substream
@@ -28,13 +30,11 @@ __all__ = [
     "AmpStep",
     "AmpTrajectory",
     "SpectralInit",
-    "TopEigenpair",
     "amp_step",
     "amp_steps",
     "default_power_steps",
     "run_amp",
     "spectral_init",
-    "top_eigenpair",
 ]
 
 
@@ -162,35 +162,32 @@ def run_amp(
     )
 
 
+# The Lanczos start stops once its Ritz residual is at most this times |theta|.
+_RITZ_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpectralInit:
-    """Output of the power-iteration initializer.
+    """Output of the Lanczos initializer.
 
-    x1 is M^s v_tilde normalized to unit length, computed by s renormalized
-    power steps from the random unit start v_tilde (any SNR rescaling is the
-    caller's job).  The eigenvalue estimate is not part of the start;
-    `top_eigenpair` refines x1 when it is needed.
+    x1 is the unit top Ritz vector of M, signed so that <x1, v> > 0 for the
+    random unit start v (the sign that power steps from v converge to when
+    the top eigenvalue is also the largest in magnitude), and lambda_max is
+    its Ritz value; s is the number of matvecs done.  Any SNR rescaling is
+    the caller's job.
     """
 
     x1: np.ndarray
     s: int
-    v_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
-class TopEigenpair:
-    """Top-eigenpair estimate from s further power steps after x1.
-
-    vhat is the unit-norm iterate and lambda_max = vhat . M vhat its Rayleigh
-    quotient.
-    """
-
     lambda_max: float
-    vhat: np.ndarray
 
 
 def default_power_steps(n: int, lam: float) -> int:
-    """s = ceil(8 log n / (lam-1)^2), capped at n/4; defined for lam > 1."""
+    """s = ceil(8 log n / (lam-1)^2), capped at n/4; defined for lam > 1.
+
+    This is the power-iteration step count, and spectral_init's default cap
+    on the start's matvecs.
+    """
     if not lam > 1.0:
         raise ValueError(f"default_power_steps needs lam > 1 (spectral regime), got {lam!r}")
     # two divisions, not a square: a huge lam gives s = 1, not an OverflowError
@@ -198,31 +195,62 @@ def default_power_steps(n: int, lam: float) -> int:
     return max(1, min(s, n // 4))
 
 
-def _power_steps(M: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
-    """s power steps from y, renormalized every step to avoid overflow; the unit iterate.
+def _lanczos_top(M: np.ndarray, v: np.ndarray, cap: int) -> tuple[np.ndarray, float, int]:
+    """Top Ritz pair of M from the unit start v: (x, theta, matvecs done).
 
-    Only a non-finite ||M y|| searches M for a non-finite entry to name, so
-    a finite run allocates no n x n mask.
+    Every Lanczos vector is reorthogonalized against the stored basis by
+    CGS2.  The run stops once the Ritz residual ||M x - theta x|| =
+    beta_m |e_m^T s| is at most _RITZ_TOL |theta|, which includes an
+    invariant Krylov space (beta_m = 0, an exact pair), or after cap
+    matvecs.  The tridiagonal is divided by ||M v|| before LAPACK sees it,
+    so entries near the float64 limit do not overflow its squares.  Only a
+    non-finite ||M q|| searches M for a non-finite entry to name, so a
+    finite run allocates no n x n mask.
     """
-    if s < 1:
+    if cap < 1:
         raise ValueError("s must be >= 1")
-    for step in range(1, s + 1):
-        y = _symv(M, y)
+    n = v.size
+    # An anonymous map commits a row's pages only when the row is written.
+    # np.empty advises huge pages from 4 MB on, which commit 2 MB at a time.
+    rows = min(cap, n)
+    Q = np.frombuffer(mmap.mmap(-1, rows * n * 8), dtype=np.float64).reshape(rows, n)
+    Q[0] = v
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(rows):
+        w = _symv(M, Q[j])
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            nrm = _scaled_norm(y)
+            nrm = _scaled_norm(w)
         if not np.isfinite(nrm):
             bad = np.argwhere(np.triu(~np.isfinite(M)))
             if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"M[{i}, {j}] = {float(M[i, j])!r} is not finite")
-            raise ValueError(f"power step {step} overflowed: ||M y|| = {nrm!r} is not finite")
-        if nrm == 0.0:
-            raise ValueError(
-                f"power step {step} gave ||M y|| = 0 "
-                "(the start vector is in M's null space)"
-            )
-        y /= nrm
-    return y
+                i, k = bad[0]
+                raise ValueError(f"M[{i}, {k}] = {float(M[i, k])!r} is not finite")
+            raise ValueError(f"Lanczos step {j + 1} overflowed: ||M q|| = {nrm!r} is not finite")
+        if j == 0:
+            if nrm == 0.0:
+                raise ValueError(
+                    "power step 1 gave ||M v|| = 0 (the start vector is in M's null space)"
+                )
+            scale = nrm
+        basis = Q[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alpha.append((h[j] + h2[j]) / scale)
+        w_norm = _scaled_norm(w)
+        theta, S = eigh_tridiagonal(alpha, beta, select="i", select_range=(j, j))
+        b = w_norm / scale
+        if b * abs(S[-1, 0]) <= _RITZ_TOL * abs(theta[0]) or j + 1 == rows:
+            break  # before the division: a vanishing w_norm always stops here
+        beta.append(b)
+        Q[j + 1] = w / w_norm
+    x = S[:, 0] @ basis
+    x /= np.linalg.norm(x)
+    if x @ v < 0.0:
+        x = -x
+    return x, float(theta[0]) * scale, j + 1
 
 
 def _check_square(M: np.ndarray) -> None:
@@ -231,27 +259,13 @@ def _check_square(M: np.ndarray) -> None:
 
 
 def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
-    """s power steps from a random unit start: s matvecs.
+    """The top eigenpair of M by Lanczos in at most s matvecs.
 
+    The start is the random unit vector of substream(seed, "spectral-start").
     M must be symmetric; only its upper triangle is read.
     """
     _check_square(M)
-    n = M.shape[0]
-    rng = substream(seed, "spectral-start")
-    v_tilde = rng.standard_normal(n)
-    v_tilde /= np.linalg.norm(v_tilde)
-    return SpectralInit(x1=_power_steps(M, v_tilde, s), s=s, v_tilde=v_tilde)
-
-
-def top_eigenpair(M: np.ndarray, x1: np.ndarray, s: int) -> TopEigenpair:
-    """Refine a spectral start: s power steps from x1 and a Rayleigh quotient.
-
-    That is s + 1 matvecs.  Called as top_eigenpair(M, init.x1, init.s), vhat
-    is the unit iterate after 2s power steps from init.v_tilde.  x1 is not
-    modified.  M must be symmetric; only its upper triangle is read.
-    """
-    _check_square(M)
-    if np.shape(x1) != (M.shape[0],):
-        raise ValueError(f"dimension mismatch: M {M.shape}, x1 {np.shape(x1)}")
-    vhat = _power_steps(M, x1, s)
-    return TopEigenpair(lambda_max=float(vhat @ _symv(M, vhat)), vhat=vhat)
+    v = substream(seed, "spectral-start").standard_normal(M.shape[0])
+    v /= np.linalg.norm(v)
+    x1, theta, matvecs = _lanczos_top(M, v, s)
+    return SpectralInit(x1=x1, s=matvecs, lambda_max=theta)

@@ -28,8 +28,8 @@ TrialRecord metric vocabulary (closed):
   l2_err          || (1/lam) ST_tau(x_T) - v* ||_2, final iterate only
   overlap         |<v*, x_t>| / ||x_t||
   score           sample-split winner's complement-block quadratic form
-  lambda_max      top-eigenvalue estimate (Rayleigh quotient after 2s power
-                  steps)
+  lambda_max      top-eigenvalue estimate (the Ritz value of the Lanczos
+                  start)
   eig_overlap_sq  squared correlation of the top eigenvector with v*
 plus "error_code" for failed trials.
 """
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import decomp, denoise, se, sparse_init
 from ._rng import derive_seed, substream
-from .amp import amp_steps, default_power_steps, run_amp, spectral_init, top_eigenpair
+from .amp import amp_steps, default_power_steps, run_amp, spectral_init
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
 from .model import SpikedModel, make_signal, make_spiked, sample_wigner
 
@@ -155,7 +155,7 @@ CONFIG_KEYS = {
     "T": (int, "--T", "AMP iterations"),
     "trials": (int, "--trials", "number of Monte Carlo trials"),
     "seed": (int, "--seed", "master seed (64-bit)"),
-    "s_power": (int, "--s-power", "power-iteration steps"),
+    "s_power": (int, "--s-power", "cap on the spectral start's matvecs"),
     "c_tau": (float, "--c-tau", "soft-threshold constant"),
     "init": (str, "--init", "sparse init: independent | split"),
     "p_split": (float, "--p-split", "split inclusion probability"),
@@ -282,7 +282,7 @@ def _validate(config: ExperimentConfig) -> None:
         if config.quantity not in ("", "kappa", "t2"):
             raise ConfigError(f"KappaScan quantity must be kappa|t2, got {config.quantity!r}")
     if config.s_power is not None and config.s_power < 1:
-        raise ConfigError(f"{exp} needs s_power >= 1 power steps, got {config.s_power}")
+        raise ConfigError(f"{exp} needs s_power >= 1 matvecs, got {config.s_power}")
     for key in ("lambda", "c_tau", "p_split"):
         val = getattr(config, _FIELD_FOR_KEY.get(key, key))
         if val is not None and not np.isfinite(val):
@@ -407,10 +407,9 @@ def _trial_spectral(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
     config, tid = args
     tseed = derive_seed(config.seed, "trial", tid)
     model, init = _z2_setup(config, tseed)
-    eig = top_eigenpair(model.observed, init.x1, init.s)
-    ov = float(model.v_star @ eig.vhat)
+    ov = float(model.v_star @ init.x1)
     return [
-        TrialRecord(tid, 0, "lambda_max", eig.lambda_max),
+        TrialRecord(tid, 0, "lambda_max", init.lambda_max),
         TrialRecord(tid, 0, "eig_overlap_sq", ov * ov),
     ]
 

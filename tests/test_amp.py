@@ -1,4 +1,4 @@
-"""AMP recursion, trajectory invariants, spectral initializer and refinement."""
+"""AMP recursion, trajectory invariants and the Lanczos spectral initializer."""
 
 import re
 from dataclasses import dataclass
@@ -8,6 +8,7 @@ import pytest
 
 import spiked_amp as sa
 from spiked_amp import amp, denoise
+from spiked_amp._rng import substream
 
 
 def _z2_model(n, lam, seed):
@@ -169,15 +170,31 @@ def test_run_amp_rejects_bad_T():
         sa.run_amp(model, sa.fit_tanh, np.ones(20), np.ones(20), 0)
 
 
-def test_spectral_init_reconstruction():
-    # M^s v_tilde, normalized, must land back on x1; small s, direct matvec oracle.
-    model = _z2_model(60, 1.5, 5)
-    init = sa.spectral_init(model.observed, 7, 5)
-    y = init.v_tilde.copy()
-    for _ in range(7):
+@pytest.mark.parametrize("lam", [1.2, 1.5])
+def test_spectral_init_is_the_top_eigenpair(lam):
+    # Independent oracle: full symmetric eigendecomposition at n = 1000.
+    n, seed = 1000, 3
+    model = _z2_model(n, lam, seed)
+    init = sa.spectral_init(model.observed, amp.default_power_steps(n, lam), seed)
+    assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-12
+    w, V = np.linalg.eigh(model.observed)
+    top = V[:, -1] if V[:, -1] @ init.x1 > 0 else -V[:, -1]
+    assert np.linalg.norm(init.x1 - top) < 1e-10
+    assert abs(init.lambda_max - w[-1]) <= 1e-12 * abs(init.lambda_max)
+
+
+def test_spectral_init_agrees_with_power_steps():
+    # 2s power steps from the same substream start land on x1, sign included
+    n, lam, seed = 1000, 1.5, 3
+    model = _z2_model(n, lam, seed)
+    s = amp.default_power_steps(n, lam)
+    init = sa.spectral_init(model.observed, s, seed)
+    y = substream(seed, "spectral-start").standard_normal(n)
+    assert init.x1 @ y > 0
+    for _ in range(2 * s):
         y = model.observed @ y
-    np.testing.assert_allclose(y / np.linalg.norm(y), init.x1, atol=1e-10)
-    assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-10
+        y /= np.linalg.norm(y)
+    assert np.max(np.abs(y - init.x1)) < 1e-9
 
 
 def test_spectral_lambda_max_vs_eigh():
@@ -185,15 +202,14 @@ def test_spectral_lambda_max_vs_eigh():
     model = _z2_model(300, 1.5, 0)
     s = amp.default_power_steps(300, 1.5)
     init = sa.spectral_init(model.observed, s, 0)
-    eig = sa.top_eigenpair(model.observed, init.x1, init.s)
     top = np.linalg.eigvalsh(model.observed)[-1]
-    assert abs(eig.lambda_max - top) < 1e-9
+    assert abs(init.lambda_max - top) < 1e-9
 
 
-def test_power_start_and_refinement_matvec_counts(monkeypatch):
-    # the start costs s matvecs; only the refinement pays the other s + 1
-    model = _z2_model(60, 1.5, 5)
-    s = 7
+def test_spectral_start_matvec_bound(monkeypatch):
+    # Lanczos stops on its Ritz residual; 266 power steps used to do this job
+    n, lam, seed = 4000, 1.5, 3
+    model = _z2_model(n, lam, seed)
     calls = []
     symv = amp._symv
 
@@ -202,15 +218,25 @@ def test_power_start_and_refinement_matvec_counts(monkeypatch):
         return symv(M, y)
 
     monkeypatch.setattr(amp, "_symv", counting)
-    init = sa.spectral_init(model.observed, s, 5)
-    assert len(calls) == s
-    x1 = init.x1.copy()
+    init = sa.spectral_init(model.observed, amp.default_power_steps(n, lam), seed)
+    assert init.s == len(calls) <= 80
+    # s caps the matvecs exactly
     calls.clear()
-    eig = sa.top_eigenpair(model.observed, init.x1, s)
-    assert len(calls) == s + 1
-    np.testing.assert_array_equal(init.x1, x1)
-    # the refinement continues the same power sequence: 2s steps from v_tilde
-    np.testing.assert_array_equal(eig.vhat, sa.spectral_init(model.observed, 2 * s, 5).x1)
+    assert sa.spectral_init(model.observed, 7, seed).s == len(calls) == 7
+
+
+@pytest.mark.parametrize("diag, seed, steps", [([1.0, 1.0, 1.0, 1.0], 4, 1),
+                                               ([2.0, 1.0, 1.0, 1.0], 1, 2)])
+def test_spectral_init_returns_an_invariant_space_exactly(diag, seed, steps):
+    # an invariant Krylov space (beta = 0; exactly 0.0 for the identity at
+    # seed 4) ends the run with the exact pair, dividing by no vanishing
+    # beta (RuntimeWarnings are errors here)
+    M = np.diag(diag)
+    init = sa.spectral_init(M, 3, seed)
+    assert init.s == steps
+    assert init.lambda_max == pytest.approx(max(diag), abs=1e-14)
+    np.testing.assert_allclose(M @ init.x1, init.lambda_max * init.x1, atol=1e-14)
+    assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-14
 
 
 def test_symv_matches_matmul_without_copying_M(monkeypatch):
@@ -255,8 +281,6 @@ def test_default_power_steps():
 def test_spectral_rejects_bad_s():
     with pytest.raises(ValueError):
         sa.spectral_init(np.eye(4), 0, 1)
-    with pytest.raises(ValueError):
-        sa.top_eigenpair(np.eye(4), np.ones(4) / 2.0, 0)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
@@ -264,13 +288,6 @@ def test_spectral_rejects_non_square_M(shape):
     M = np.ones(shape)
     with pytest.raises(ValueError, match=re.escape(str(shape))):
         sa.spectral_init(M, 3, 1)
-    with pytest.raises(ValueError, match=re.escape(str(shape))):
-        sa.top_eigenpair(M, np.ones(shape[0]) / np.sqrt(shape[0]), 3)
-
-
-def test_top_eigenpair_rejects_mismatched_x1():
-    with pytest.raises(ValueError, match="x1"):
-        sa.top_eigenpair(np.eye(4), np.ones(3), 3)
 
 
 def test_spectral_rejects_vanishing_power_step():
@@ -285,8 +302,11 @@ def test_power_steps_normalize_huge_matrices(scale):
     M = np.eye(50) * scale
     init = sa.spectral_init(M, 3, 1)
     assert np.linalg.norm(init.x1) == pytest.approx(1.0, abs=1e-12)
-    eig = sa.top_eigenpair(M, init.x1, 3)
-    assert eig.lambda_max / scale == pytest.approx(1.0, abs=1e-12)
+    assert init.lambda_max / scale == pytest.approx(1.0, abs=1e-12)
+    # a run of many steps hands LAPACK a tridiagonal whose squares would overflow
+    init = sa.spectral_init(np.diag(np.linspace(1.0, 2.0, 50)) * scale, 50, 1)
+    assert init.lambda_max / scale == pytest.approx(2.0, abs=1e-12)
+    assert abs(init.x1[-1]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_power_steps_name_overflow():
@@ -302,4 +322,4 @@ def test_power_steps_name_a_nonfinite_matrix(bad):
     M = np.eye(6)
     M[2, 4] = M[4, 2] = bad
     with pytest.raises(ValueError, match=rf"M\[2, 4\] = {bad!r} is not finite"):
-        sa.top_eigenpair(M, np.ones(6) / np.sqrt(6.0), 2)
+        sa.spectral_init(M, 2, 1)
