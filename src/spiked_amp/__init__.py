@@ -51,7 +51,7 @@ from .harness import (
     run_experiment,
     run_scan,
 )
-from .model import SpikedModel, make_signal, make_spiked, sample_wigner
+from .model import SpikedModel, make_signal, make_spiked, principal_block, sample_wigner
 from .se import (
     Quadrature,
     SeTrajectory,
@@ -73,4 +73,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -3,8 +3,8 @@ collects, and the spectral start, a Lanczos run that gives the top eigenpair
 of M.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
-(dsymv), which reads only M's upper triangle: M must be symmetric, and an
-asymmetric M is not detected.
+(dsymv), which reads only M's upper triangle: M is stored as its upper
+triangle, and whatever lies below the diagonal is never read.
 
 A run owns nothing random and names no denoiser; the model, the denoiser's
 fit, the starting point and the step-0 convention eta_0(x_0) are all passed
@@ -13,7 +13,6 @@ in, so the same trajectory is reproducible from its inputs alone.
 
 from __future__ import annotations
 
-import mmap
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from scipy.linalg.blas import dsymv
 
 from ._rng import substream
 from .denoise import DegenerateIterateError, Denoiser, _scaled_norm
-from .model import SpikedModel
+from .model import SpikedModel, _mapped_zeros
 
 __all__ = [
     "AmpStep",
@@ -74,7 +73,7 @@ def amp_step(
 ) -> np.ndarray:
     """x_{t+1} = M eta_t(x_t) - <eta_t'(x_t)> eta_{t-1}(x_{t-1}).
 
-    M must be symmetric; only its upper triangle is read.
+    M is stored as its upper triangle; only that triangle is read.
     """
     n = M.shape[0]
     if M.shape != (n, n) or eta_xt.shape != (n,) or eta_prev.shape != (n,):
@@ -113,7 +112,7 @@ def amp_steps(
     calls the returned denoiser's eta(x_t) and onsager(x_t) once each; a
     degenerate fit is yielded as that step's `failure` and ends the run.
     Arguments are those of run_amp, and T < 1 raises ValueError at the first
-    step.  model.observed must be symmetric; only its upper triangle is read.
+    step.  model.observed is stored as its upper triangle; only that is read.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -146,8 +145,8 @@ def run_amp(
     fit maps x_t to the fitted denoiser eta_t, any object with the Denoiser
     methods eta and onsager, e.g. denoise.fit_tanh.  eta0_of_x0 is the
     step-0 convention: x1/lam for the spectrally initialized tanh pipeline,
-    zero for the sparse pipeline.  model.observed must be symmetric; only its
-    upper triangle is read.
+    zero for the sparse pipeline.  model.observed is stored as its upper
+    triangle; only that is read.
     """
     steps = list(amp_steps(model, fit, x1, eta0_of_x0, T))
     fitted = [step for step in steps if step.failure is None]
@@ -210,10 +209,10 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray, cap: int) -> tuple[np.ndarray, fl
     if cap < 1:
         raise ValueError("s must be >= 1")
     n = v.size
-    # An anonymous map commits a row's pages only when the row is written.
+    # A mapped basis commits a row's pages only when the row is written.
     # np.empty advises huge pages from 4 MB on, which commit 2 MB at a time.
     rows = min(cap, n)
-    Q = np.frombuffer(mmap.mmap(-1, rows * n * 8), dtype=np.float64).reshape(rows, n)
+    Q = _mapped_zeros(rows, n)
     Q[0] = v
     alpha: list[float] = []
     beta: list[float] = []
@@ -262,7 +261,7 @@ def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
     """The top eigenpair of M by Lanczos in at most s matvecs.
 
     The start is the random unit vector of substream(seed, "spectral-start").
-    M must be symmetric; only its upper triangle is read.
+    M is stored as its upper triangle; only that triangle is read.
     """
     _check_square(M)
     v = substream(seed, "spectral-start").standard_normal(M.shape[0])

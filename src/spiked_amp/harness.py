@@ -48,7 +48,7 @@ from . import decomp, denoise, se, sparse_init
 from ._rng import derive_seed, substream
 from .amp import amp_steps, default_power_steps, run_amp, spectral_init
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
-from .model import SpikedModel, make_signal, make_spiked, sample_wigner
+from .model import SpikedModel, make_signal, make_spiked, principal_block, sample_wigner
 
 __all__ = [
     "ConfigError",
@@ -364,7 +364,7 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         nv = float(np.linalg.norm(v_c))
         lam_eff = lam * nv * nv
         # M_cc = lam_eff u u^T + W_cc with u = v_c / ||v_c||
-        run_model = SpikedModel(Ic.size, lam_eff, v_c / nv, model.observed[np.ix_(Ic, Ic)])
+        run_model = SpikedModel(Ic.size, lam_eff, v_c / nv, principal_block(model.observed, Ic))
         alpha_start = abs(float(run_model.v_star @ x1))
         rows.append(TrialRecord(tid, 0, "score", chosen.score))
     else:
@@ -547,27 +547,28 @@ def run_scan(config: ExperimentConfig) -> list[ScanRow]:
 
 
 def aggregate(records: list[TrialRecord]) -> list[SummaryRow]:
-    """Per (t, metric) median, mean, and 10/90 quantiles, sorted."""
+    """Per (t, metric) median, mean, and 10/90 quantiles, sorted.
+
+    Groups of equal size are stacked into one 2-D array and reduced along
+    its rows, so a run costs four reductions per group size, not per group.
+    """
     if not records:
         raise ValueError("no records to aggregate")
     groups: dict[tuple[int, str], list[float]] = {}
     for r in records:
         groups.setdefault((r.t, r.metric_name), []).append(r.value)
-    out = []
-    for (t, name) in sorted(groups):
-        vals = np.array(groups[(t, name)])
-        out.append(
-            SummaryRow(
-                t=t,
-                metric_name=name,
-                median=float(np.median(vals)),
-                mean=float(np.mean(vals)),
-                q10=float(np.quantile(vals, 0.10)),
-                q90=float(np.quantile(vals, 0.90)),
-                count=vals.size,
-            )
-        )
-    return out
+    by_size: dict[int, list[tuple[int, str]]] = {}
+    for key, vals in groups.items():
+        by_size.setdefault(len(vals), []).append(key)
+    stats = {}
+    for keys in by_size.values():
+        vals = np.array([groups[key] for key in keys])
+        columns = (np.median(vals, axis=1), np.mean(vals, axis=1),
+                   np.quantile(vals, 0.10, axis=1), np.quantile(vals, 0.90, axis=1))
+        for key, row in zip(keys, zip(*columns)):
+            stats[key] = row
+    return [SummaryRow(t, name, *map(float, stats[(t, name)]), len(groups[(t, name)]))
+            for (t, name) in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

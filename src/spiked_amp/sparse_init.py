@@ -6,9 +6,9 @@ N-round random-split procedure (weak-SNR regime): estimate the spike on a
 random index block, propagate through the cross block, soft-threshold, and
 keep the round whose candidate scores highest on the complement block.
 
-The split rounds read the matrix only through _read_block, which logs a tag
-for each phase of access in the round's event log, and each phase reads only
-the entries its output needs:
+The split rounds read the matrix only through _read_block, which reads each
+entry from M's upper triangle and logs a tag for each phase of access in the
+round's event log, and each phase reads only the entries its output needs:
 
   read:II          diag(M)[I], then the block M[J, J] of the oracle's
                    selection J = I[sel], |J| <= 2 k_hint
@@ -101,15 +101,18 @@ class SplitRound:
 
 
 def _read_block(M: np.ndarray, index: tuple, log: list[str], tag: str) -> np.ndarray:
-    """M[index], logged as `tag`; consecutive reads under one tag log it once.
+    """M[index] of the symmetric M, logged as `tag`; consecutive reads under
+    one tag log it once.
 
     `index` is (I, I) for the diagonal entries M[i, i], i in I, or
-    np.ix_(rows, cols) for a block.  The module docstring lists what each
-    tag reads.
+    np.ix_(rows, cols) for a block.  M holds its upper triangle, so entry
+    (i, j) is read at (min(i, j), max(i, j)).  The module docstring lists
+    what each tag reads.
     """
     if not log or log[-1] != tag:
         log.append(tag)
-    return M[index]
+    rows, cols = index
+    return M[np.minimum(rows, cols), np.maximum(rows, cols)]
 
 
 def default_split_params(n: int, k: int) -> tuple[float, int, float]:

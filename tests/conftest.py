@@ -1,4 +1,5 @@
-"""Shared fixtures: one small spectral run and one sparse run, session-wide.
+"""Shared fixtures: one small spectral run and one sparse run, session-wide,
+and `dense`, the full symmetric matrix of a stored upper triangle.
 
 Worker pool defaults to 1 inside tests so every suite invocation is
 byte-deterministic; the pool-merge test overrides it explicitly.
@@ -12,6 +13,15 @@ import pytest
 import spiked_amp as sa
 
 os.environ.setdefault("SPIKED_AMP_WORKERS", "1")
+
+
+def dense(M):
+    """The symmetric matrix whose upper triangle M holds.
+
+    The package stores M[i, j] for i <= j only; a test that multiplies by M
+    or reads a column or its lower triangle goes through this.
+    """
+    return np.triu(M) + np.triu(M, 1).T
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ import spiked_amp as sa
 from spiked_amp import amp, denoise
 from spiked_amp._rng import substream
 
+from conftest import dense
+
 
 def _z2_model(n, lam, seed):
     v = sa.make_signal(kind="z2", n=n, seed=seed)
@@ -38,7 +40,7 @@ def test_trajectory_recurrence_invariant(z2_run):
     model, traj, _ = z2_run
     eta_prev = traj.eta0_of_x0
     for t in range(1, len(traj.iterates)):
-        want = model.observed @ traj.denoised[t - 1] - traj.onsager[t - 1] * eta_prev
+        want = dense(model.observed) @ traj.denoised[t - 1] - traj.onsager[t - 1] * eta_prev
         err = np.linalg.norm(traj.iterates[t] - want)
         assert err < 1e-10, f"recurrence broken at t={t}: {err:.2e}"
         eta_prev = traj.denoised[t - 1]
@@ -66,7 +68,7 @@ def test_run_amp_failure_capture():
     # A soft-threshold fit with an enormous tau dies at t=1; the trajectory
     # must record the failure instead of raising, with consistent lengths.
     model = _z2_model(50, 1.2, 3)
-    x1 = model.observed[:, 0] * 0.01
+    x1 = dense(model.observed)[:, 0] * 0.01
     traj = sa.run_amp(model, lambda x: sa.fit_soft_threshold(x, 100.0), x1, np.zeros(50), 4)
     assert traj.failure is not None
     t_fail, msg = traj.failure
@@ -177,7 +179,7 @@ def test_spectral_init_is_the_top_eigenpair(lam):
     model = _z2_model(n, lam, seed)
     init = sa.spectral_init(model.observed, amp.default_power_steps(n, lam), seed)
     assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-12
-    w, V = np.linalg.eigh(model.observed)
+    w, V = np.linalg.eigh(dense(model.observed))
     top = V[:, -1] if V[:, -1] @ init.x1 > 0 else -V[:, -1]
     assert np.linalg.norm(init.x1 - top) < 1e-10
     assert abs(init.lambda_max - w[-1]) <= 1e-12 * abs(init.lambda_max)
@@ -191,8 +193,9 @@ def test_spectral_init_agrees_with_power_steps():
     init = sa.spectral_init(model.observed, s, seed)
     y = substream(seed, "spectral-start").standard_normal(n)
     assert init.x1 @ y > 0
+    M = dense(model.observed)
     for _ in range(2 * s):
-        y = model.observed @ y
+        y = M @ y
         y /= np.linalg.norm(y)
     assert np.max(np.abs(y - init.x1)) < 1e-9
 
@@ -202,7 +205,7 @@ def test_spectral_lambda_max_vs_eigh():
     model = _z2_model(300, 1.5, 0)
     s = amp.default_power_steps(300, 1.5)
     init = sa.spectral_init(model.observed, s, 0)
-    top = np.linalg.eigvalsh(model.observed)[-1]
+    top = np.linalg.eigvalsh(dense(model.observed))[-1]
     assert abs(init.lambda_max - top) < 1e-9
 
 
@@ -240,8 +243,9 @@ def test_spectral_init_returns_an_invariant_space_exactly(diag, seed, steps):
 
 
 def test_symv_matches_matmul_without_copying_M(monkeypatch):
-    # C order, F order and a split complement block; dsymv must get an
-    # F-contiguous view of the caller's M, never a copy
+    # C order, F order and a split complement block, each holding its upper
+    # triangle; dsymv must get an F-contiguous view of the caller's M, never
+    # a copy
     model = _z2_model(300, 1.5, 4)
     M = model.observed
     Ic = np.sort(np.random.default_rng(1).choice(300, size=170, replace=False))
@@ -254,14 +258,15 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
 
     monkeypatch.setattr(amp, "dsymv", recording)
     rng = np.random.default_rng(2)
-    for A in (M, np.asfortranarray(M), M[np.ix_(Ic, Ic)]):
+    for A in (M, np.asfortranarray(M), sa.principal_block(M, Ic)):
         received.clear()
         y = rng.standard_normal(A.shape[0])
         got = amp._symv(A, y)
         (a,) = received
         assert a.flags.f_contiguous and np.shares_memory(a, A)
-        bound = 1e-13 * np.linalg.norm(A) * np.linalg.norm(y)
-        assert np.max(np.abs(got - A @ y)) <= bound
+        full = dense(A)
+        bound = 1e-13 * np.linalg.norm(full) * np.linalg.norm(y)
+        assert np.max(np.abs(got - full @ y)) <= bound
 
 
 def test_default_power_steps():

@@ -20,6 +20,8 @@ import spiked_amp as sa
 from spiked_amp import decomp
 from spiked_amp._rng import substream
 
+from conftest import dense
+
 SQ2H = np.sqrt(2.0) / 2.0 - 1.0
 
 # the aux_seed each conftest fixture builds its ledger with
@@ -114,8 +116,9 @@ def test_phi_recomputes_from_parts(z2_run):
     model, _, ledger = z2_run
     n = model.n
     gs, zwz = _zeta_parts(model, ledger, Z2_AUX)
-    W = sa.sample_wigner(n, 7)
-    np.testing.assert_array_equal(model.observed, model.lam * np.outer(model.v_star, model.v_star) + W)
+    W = dense(sa.sample_wigner(n, 7))
+    np.testing.assert_array_equal(dense(model.observed),
+                                  model.lam * np.outer(model.v_star, model.v_star) + W)
     for k, z in enumerate(ledger.basis):
         U = np.stack(ledger.basis[:k], axis=1) if k else np.zeros((n, 0))
         P = np.eye(n) - U @ U.T

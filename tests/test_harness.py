@@ -191,6 +191,33 @@ def test_build_model_calls_make_spiked_once(monkeypatch):
     assert model.observed is calls[0][2]
 
 
+@pytest.mark.parametrize("data, row_type", [
+    ({"experiment": "Z2Pipeline", "n": 200, "lambda": 1.5, "T": 10}, TrialRecord),
+    ({"experiment": "DecompAudit", "n": 200, "lambda": 1.5, "T": 6}, DecompRow),
+    ({"experiment": "SpectralCorrelation", "n": 200, "lambda": 1.5}, TrialRecord),
+    ({"experiment": "SparsePipeline", "n": 400, "k": 10, "lambda": 1.5, "T": 6,
+      "init": "independent"}, TrialRecord),
+    ({"experiment": "SparsePipeline", "n": 1000, "k": 20, "lambda": 3.0, "T": 6,
+      "init": "split"}, TrialRecord),
+])
+def test_entries_below_the_diagonal_are_never_read(data, row_type, monkeypatch, tmp_path):
+    # the model holds M's upper triangle: NaN below the diagonal changes no byte
+    config = build_config({**data, "trials": 2, "seed": 3})
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "nan.csv"
+    emit_csv(run_experiment(config), str(clean), row_type)
+    sample_wigner = harness.sample_wigner
+
+    def nan_below(n, seed):
+        W = sample_wigner(n, seed)
+        W[np.tril_indices(n, -1)] = np.nan
+        return W
+
+    monkeypatch.setattr(harness, "sample_wigner", nan_below)
+    emit_csv(run_experiment(config), str(dirty), row_type)
+    assert dirty.read_bytes() == clean.read_bytes()
+    assert b"nan" not in clean.read_bytes()
+
+
 def _transient_peak(fn) -> int:
     # tracemalloc peak of fn() above what it leaves allocated (its output)
     tracemalloc.start()
@@ -488,6 +515,24 @@ def test_aggregate_sorted_and_grouped():
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def test_aggregate_stacked_groups_match_per_group_formula():
+    # groups of 1, 3 and 20 values, several of each size, and one of 7
+    rng = np.random.default_rng(5)
+    sizes = {(1, "alpha"): 1, (2, "alpha"): 1, (1, "overlap"): 3, (2, "overlap"): 3,
+             (1, "tau_t"): 20, (2, "tau_t"): 20, (0, "score"): 7}
+    rows = [TrialRecord(i, t, name, float(x))
+            for (t, name), size in sizes.items()
+            for i, x in enumerate(rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4))]
+    rows.reverse()
+    want = []
+    for t, name in sorted(sizes):
+        vals = np.array([r.value for r in rows if (r.t, r.metric_name) == (t, name)])
+        want.append(SummaryRow(t, name, float(np.median(vals)), float(np.mean(vals)),
+                               float(np.quantile(vals, 0.10)), float(np.quantile(vals, 0.90)),
+                               vals.size))
+    assert aggregate(rows) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Instance construction: noise law, signal recipes, assembled model."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,29 +13,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spiked_amp as sa
-from spiked_amp import harness
+from spiked_amp import sparse_init
+
+from conftest import dense
 
 
-def test_wigner_symmetric_bitwise():
+def test_wigner_lower_triangle_is_zero():
     W = sa.sample_wigner(64, 0)
-    assert np.array_equal(W, W.T)
+    assert not np.tril(W, -1).any()
+    assert W[np.triu_indices(64)].all()
 
 
 def test_package_matrices_symmetric_bitwise():
-    # _symv reads one triangle of M, so every matrix AMP runs on must be
-    # exactly symmetric: the assembled model and the split complement block
+    # every matrix stores its upper triangle alone, and every block the split
+    # rounds gather from it is exactly symmetric: the assembled model, the
+    # blocks read by the rounds, and the complement block AMP runs on
     n, k = 300, 8
     for kind in ("z2", "sparse-dirac"):
         v = sa.make_signal(kind=kind, n=n, k=k, seed=3)
         M = sa.make_spiked(1.7, v, sa.sample_wigner(n, 3)).observed
-        assert np.array_equal(M, M.T)
+        assert not np.tril(M, -1).any()
     model = sa.make_spiked(3.0, v, sa.sample_wigner(n, 3))
     p, N, tau1 = sa.default_split_params(n, k)
     chosen = sa.sample_split_init(model, p, N, tau1, 3)
-    Ic = chosen.complement
-    block = model.observed[np.ix_(Ic, Ic)]
+    I, Ic = chosen.index_set, chosen.complement
     assert 0 < Ic.size < n
-    assert np.array_equal(block, block.T)
+    full = dense(model.observed)
+    for rows, cols in ((I, I), (Ic, Ic), (Ic[::7], Ic[::7])):
+        block = sparse_init._read_block(model.observed, np.ix_(rows, cols), [], "read")
+        assert np.array_equal(block, block.T)
+        assert np.array_equal(block, full[np.ix_(rows, cols)])
+    cross = sparse_init._read_block(model.observed, np.ix_(Ic, I), [], "read")
+    assert np.array_equal(cross, full[np.ix_(Ic, I)])
+    upper = sa.principal_block(model.observed, Ic)
+    assert np.array_equal(upper, np.triu(full[np.ix_(Ic, Ic)]))
 
 
 def test_wigner_frozen_values():
@@ -68,7 +84,7 @@ def test_wigner_entry_variances():
 
 def test_wigner_operator_norm_near_two():
     W = sa.sample_wigner(1500, 5)
-    top = np.linalg.eigvalsh(W)[-1]
+    top = np.linalg.eigvalsh(dense(W))[-1]
     assert 1.9 < top < 2.15
 
 
@@ -112,9 +128,10 @@ def test_signal_spec_rejects(kwargs):
 
 
 def test_make_spiked_assembles_exactly():
+    # the spike goes into the upper triangle alone
     v = sa.make_signal(kind="z2", n=40, seed=8)
     W = sa.sample_wigner(40, 8)
-    want = 1.3 * np.outer(v, v) + W
+    want = np.triu(1.3 * np.outer(v, v) + W)
     m = sa.make_spiked(1.3, v, W)
     np.testing.assert_array_equal(m.observed, want)
     assert m.n == 40 and m.lam == 1.3
@@ -126,7 +143,7 @@ def test_assemble_adds_spike_in_place_bitwise():
     n = 513
     v = sa.make_signal(kind="sparse-dirac", n=n, k=40, seed=6)
     W = sa.sample_wigner(n, 6)
-    want = 1.9 * np.outer(v, v) + W
+    want = np.triu(1.9 * np.outer(v, v) + W)
     m = sa.make_spiked(1.9, v, W)
     assert m.observed is W
     np.testing.assert_array_equal(m.observed, want)
@@ -148,6 +165,7 @@ def test_make_spiked_keeps_noise_as_observed():
         (np.zeros((10, 10), dtype=np.float32), "float64"),
         (np.zeros((20, 20))[:10, :10], "C-contiguous"),
         (np.zeros(100).reshape(10, 10), "an array owning its data"),
+        (sa.sample_wigner(10, 1).view(), "an array owning its data"),  # view of a mapped one
     ],
 )
 def test_make_spiked_refuses_unusable_noise(noise, prop):
@@ -168,12 +186,51 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+_RSS_PROBE = """
+    import numpy as np
+    import spiked_amp as sa
+    from spiked_amp import harness
+
+    def kib(field):
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith(field))
+
+    small = harness.build_config({{"experiment": "Z2Pipeline", "n": 64, "lambda": 1.5, "T": 1}})
+    harness._build_model(small, 1, "z2")  # first-call allocations
+    n = {n}
+    config = harness.build_config({{"experiment": "Z2Pipeline", "n": n, "lambda": 1.5, "T": 1}})
+    before = kib("VmRSS:")
+    out = {build}
+    print((kib("VmHWM:") - before) * 1024)
+"""
+
+
+def _build_rss_bytes(n: int, build: str) -> int:
+    # tracemalloc does not see an anonymous map, so a fresh interpreter reads
+    # the growth of its peak resident set over the resident set just before
+    # the build; a peak left from the imports can only raise the figure
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    src = Path(sa.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    code = textwrap.dedent(_RSS_PROBE).format(n=n, build=build)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return int(proc.stdout)
+
+
+def _upper_bound_bytes(n: int) -> float:
+    # the upper triangle, 4 n^2 bytes, is within 0.6 * 8 n^2; each row adds
+    # at most one part-written 4 KB page, and the draw panel and the spike
+    # buffer a few rows each
+    return 0.6 * 8 * n * n + 4096 * n + 64 * 8 * n
+
+
 def test_wigner_peak_memory_one_buffer():
-    # the normals, their scaling and the mirroring share the result's buffer
-    n = 1000
-    peak, W = _peak_bytes(lambda: sa.sample_wigner(n, 4))
-    assert W.shape == (n, n)
-    assert peak <= 1.1 * 8 * n * n
+    # the normals go through a few-row panel into one mapped buffer whose
+    # pages below the diagonal are never committed
+    n = 3000
+    assert _build_rss_bytes(n, f"sa.sample_wigner({n}, 4)") <= _upper_bound_bytes(n)
 
 
 def test_make_spiked_peak_memory_few_rows():
@@ -188,13 +245,11 @@ def test_make_spiked_peak_memory_few_rows():
 
 
 def test_harness_model_build_peak_memory():
-    # the trial's model is assembled in its fresh Wigner buffer: one n x n
-    # array plus a few rows
-    n = 2000
-    config = harness.build_config({"experiment": "Z2Pipeline", "n": n, "lambda": 1.5, "T": 1})
-    peak, m = _peak_bytes(lambda: harness._build_model(config, 7, "z2"))
-    assert m.observed.shape == (n, n)
-    assert peak <= 8 * n * n + 32 * 8 * n
+    # the trial's model is assembled in its fresh Wigner buffer: the upper
+    # triangle of one n x n array plus a few rows
+    n = 3000
+    build = 'harness._build_model(config, 7, "z2")'
+    assert _build_rss_bytes(n, build) <= _upper_bound_bytes(n)
 
 
 def test_make_spiked_sparsity_count():
@@ -224,9 +279,9 @@ def test_model_arrays_read_only():
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 10**6))
-def test_wigner_symmetry_property(n, seed):
+def test_wigner_upper_triangle_property(n, seed):
     W = sa.sample_wigner(n, seed)
-    assert np.array_equal(W, W.T)
+    assert not np.tril(W, -1).any()
     assert W.shape == (n, n)
 
 

@@ -16,6 +16,8 @@ from spiked_amp._rng import substream
 from spiked_amp.denoise import soft_threshold
 from spiked_amp.model import SpikedModel
 
+from conftest import dense
+
 
 def _sym_from(diag, off, n):
     A = np.zeros((n, n))
@@ -299,7 +301,7 @@ def test_k_hint_default(split_model, monkeypatch):
 def _dense_rounds(model, p, N, tau1, seed, k_hint):
     """The split rounds computed on whole blocks: the oracle on all of M_II,
     the propagation through all of M_IcI, the score on all of M_IcIc."""
-    M, n = model.observed, model.n
+    M, n = dense(model.observed), model.n
     out = []
     for j in range(N):
         mask = substream(seed, "split-round", j).random(n) < p
