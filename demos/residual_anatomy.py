@@ -29,8 +29,7 @@ def main() -> int:
 
     v = sa.make_signal(kind="z2", n=args.n, seed=args.seed)
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
-    init = sa.spectral_init(model.observed, sa.default_power_steps(args.n, args.lam),
-                            args.seed)
+    init = sa.spectral_init(model.observed, args.seed)
     traj = sa.run_amp(model, sa.fit_tanh, args.lam * init.x1, init.x1, args.T)
     if traj.failure is not None:
         print(f"[error] run degenerated: {traj.failure}", file=sys.stderr)

@@ -32,9 +32,8 @@ def main() -> int:
 
     v = sa.make_signal(kind="z2", n=args.n, seed=args.seed)
     model = sa.make_spiked(args.lam, v, sa.sample_wigner(args.n, args.seed))
-    s = sa.default_power_steps(args.n, args.lam)
-    init = sa.spectral_init(model.observed, s, args.seed)
-    print(f"[setup] n={args.n} lambda={args.lam} Lanczos matvecs={init.s} (cap {s}) "
+    init = sa.spectral_init(model.observed, args.seed)
+    print(f"[setup] n={args.n} lambda={args.lam} Lanczos matvecs={init.s} "
           f"lambda_max={init.lambda_max:.4f}")
     print(f"[setup] start overlap <x1, v*> = {float(init.x1 @ model.v_star):+.4f}")
 

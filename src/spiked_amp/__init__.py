@@ -14,7 +14,6 @@ from .amp import (
     SpectralInit,
     amp_step,
     amp_steps,
-    default_power_steps,
     run_amp,
     spectral_init,
 )
@@ -73,4 +72,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -31,7 +31,6 @@ __all__ = [
     "SpectralInit",
     "amp_step",
     "amp_steps",
-    "default_power_steps",
     "run_amp",
     "spectral_init",
 ]
@@ -172,8 +171,9 @@ class SpectralInit:
     x1 is the unit top Ritz vector of M, signed so that <x1, v> > 0 for the
     random unit start v (the sign that power steps from v converge to when
     the top eigenvalue is also the largest in magnitude), and lambda_max is
-    its Ritz value; s is the number of matvecs done.  Any SNR rescaling is
-    the caller's job.
+    its Ritz value.  s is the number of matvecs done: the run stops once the
+    Ritz residual ||M x1 - lambda_max x1|| is at most 1e-12 |lambda_max|, or
+    when the Krylov space fills R^n.  Any SNR rescaling is the caller's job.
     """
 
     x1: np.ndarray
@@ -181,42 +181,26 @@ class SpectralInit:
     lambda_max: float
 
 
-def default_power_steps(n: int, lam: float) -> int:
-    """s = ceil(8 log n / (lam-1)^2), capped at n/4; defined for lam > 1.
-
-    This is the power-iteration step count, and spectral_init's default cap
-    on the start's matvecs.
-    """
-    if not lam > 1.0:
-        raise ValueError(f"default_power_steps needs lam > 1 (spectral regime), got {lam!r}")
-    # two divisions, not a square: a huge lam gives s = 1, not an OverflowError
-    s = int(np.ceil(8.0 * np.log(n) / (lam - 1.0) / (lam - 1.0)))
-    return max(1, min(s, n // 4))
-
-
-def _lanczos_top(M: np.ndarray, v: np.ndarray, cap: int) -> tuple[np.ndarray, float, int]:
+def _lanczos_top(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Top Ritz pair of M from the unit start v: (x, theta, matvecs done).
 
     Every Lanczos vector is reorthogonalized against the stored basis by
     CGS2.  The run stops once the Ritz residual ||M x - theta x|| =
     beta_m |e_m^T s| is at most _RITZ_TOL |theta|, which includes an
-    invariant Krylov space (beta_m = 0, an exact pair), or after cap
-    matvecs.  The tridiagonal is divided by ||M v|| before LAPACK sees it,
-    so entries near the float64 limit do not overflow its squares.  Only a
-    non-finite ||M q|| searches M for a non-finite entry to name, so a
-    finite run allocates no n x n mask.
+    invariant Krylov space (beta_m = 0, an exact pair), or once the Krylov
+    space fills R^n.  The tridiagonal is divided by ||M v|| before LAPACK
+    sees it, so entries near the float64 limit do not overflow its squares.
+    Only a non-finite ||M q|| searches M for a non-finite entry to name, so
+    a finite run allocates no n x n mask.
     """
-    if cap < 1:
-        raise ValueError("s must be >= 1")
     n = v.size
     # A mapped basis commits a row's pages only when the row is written.
     # np.empty advises huge pages from 4 MB on, which commit 2 MB at a time.
-    rows = min(cap, n)
-    Q = _mapped_zeros(rows, n)
+    Q = _mapped_zeros(n, n)
     Q[0] = v
     alpha: list[float] = []
     beta: list[float] = []
-    for j in range(rows):
+    for j in range(n):
         w = _symv(M, Q[j])
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
             nrm = _scaled_norm(w)
@@ -229,7 +213,7 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray, cap: int) -> tuple[np.ndarray, fl
         if j == 0:
             if nrm == 0.0:
                 raise ValueError(
-                    "power step 1 gave ||M v|| = 0 (the start vector is in M's null space)"
+                    "Lanczos step 1 gave ||M v|| = 0 (the start vector is in M's null space)"
                 )
             scale = nrm
         basis = Q[: j + 1]
@@ -241,7 +225,7 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray, cap: int) -> tuple[np.ndarray, fl
         w_norm = _scaled_norm(w)
         theta, S = eigh_tridiagonal(alpha, beta, select="i", select_range=(j, j))
         b = w_norm / scale
-        if b * abs(S[-1, 0]) <= _RITZ_TOL * abs(theta[0]) or j + 1 == rows:
+        if b * abs(S[-1, 0]) <= _RITZ_TOL * abs(theta[0]) or j + 1 == n:
             break  # before the division: a vanishing w_norm always stops here
         beta.append(b)
         Q[j + 1] = w / w_norm
@@ -257,8 +241,9 @@ def _check_square(M: np.ndarray) -> None:
         raise ValueError(f"M must be a square 2-D matrix, got shape {M.shape}")
 
 
-def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
-    """The top eigenpair of M by Lanczos in at most s matvecs.
+def spectral_init(M: np.ndarray, seed: int) -> SpectralInit:
+    """The top eigenpair of M by Lanczos, run until its Ritz residual is at
+    most 1e-12 |lambda_max| (see SpectralInit).
 
     The start is the random unit vector of substream(seed, "spectral-start").
     M is stored as its upper triangle; only that triangle is read.
@@ -266,5 +251,5 @@ def spectral_init(M: np.ndarray, s: int, seed: int) -> SpectralInit:
     _check_square(M)
     v = substream(seed, "spectral-start").standard_normal(M.shape[0])
     v /= np.linalg.norm(v)
-    x1, theta, matvecs = _lanczos_top(M, v, s)
+    x1, theta, matvecs = _lanczos_top(M, v)
     return SpectralInit(x1=x1, s=matvecs, lambda_max=theta)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import decomp, denoise, se, sparse_init
 from ._rng import derive_seed, substream
-from .amp import amp_steps, default_power_steps, run_amp, spectral_init
+from .amp import amp_steps, run_amp, spectral_init
 from .denoise import DegenerateIterateError, default_tau, soft_threshold
 from .model import SpikedModel, make_signal, make_spiked, principal_block, sample_wigner
 
@@ -96,7 +96,6 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     c_tau: float | None = None
-    s_power: int | None = None
     p_split: float | None = None
     N_rounds: int | None = None
     init: str = ""
@@ -155,7 +154,6 @@ CONFIG_KEYS = {
     "T": (int, "--T", "AMP iterations"),
     "trials": (int, "--trials", "number of Monte Carlo trials"),
     "seed": (int, "--seed", "master seed (64-bit)"),
-    "s_power": (int, "--s-power", "cap on the spectral start's matvecs"),
     "c_tau": (float, "--c-tau", "soft-threshold constant"),
     "init": (str, "--init", "sparse init: independent | split"),
     "p_split": (float, "--p-split", "split inclusion probability"),
@@ -165,13 +163,13 @@ CONFIG_KEYS = {
 
 # the keys each experiment reads beyond "experiment" and "output_path"
 READS = {
-    "Z2Pipeline": ("n", "lambda", "T", "trials", "seed", "s_power"),
+    "Z2Pipeline": ("n", "lambda", "T", "trials", "seed"),
     "SparsePipeline": ("n", "lambda", "k", "T", "trials", "seed", "c_tau",
                        "init", "p_split", "N_rounds"),
     "SeScan": ("quantity",),
     "KappaScan": ("quantity",),
-    "DecompAudit": ("n", "lambda", "T", "trials", "seed", "s_power"),
-    "SpectralCorrelation": ("n", "lambda", "trials", "seed", "s_power"),
+    "DecompAudit": ("n", "lambda", "T", "trials", "seed"),
+    "SpectralCorrelation": ("n", "lambda", "trials", "seed"),
 }
 EXPERIMENTS = tuple(READS)
 
@@ -281,8 +279,6 @@ def _validate(config: ExperimentConfig) -> None:
     elif exp == "KappaScan":
         if config.quantity not in ("", "kappa", "t2"):
             raise ConfigError(f"KappaScan quantity must be kappa|t2, got {config.quantity!r}")
-    if config.s_power is not None and config.s_power < 1:
-        raise ConfigError(f"{exp} needs s_power >= 1 matvecs, got {config.s_power}")
     for key in ("lambda", "c_tau", "p_split"):
         val = getattr(config, _FIELD_FOR_KEY.get(key, key))
         if val is not None and not np.isfinite(val):
@@ -305,10 +301,7 @@ def _build_model(config: ExperimentConfig, tseed: int, kind: str) -> SpikedModel
 
 def _z2_setup(config: ExperimentConfig, tseed: int):
     model = _build_model(config, tseed, "z2")
-    s = config.s_power
-    if s is None:
-        s = default_power_steps(config.n, config.lam)
-    init = spectral_init(model.observed, s, tseed)
+    init = spectral_init(model.observed, tseed)
     return model, init
 
 

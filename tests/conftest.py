@@ -30,7 +30,7 @@ def z2_run():
     n, lam, T, seed = 400, 1.5, 8, 7
     v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
-    init = sa.spectral_init(model.observed, 30, seed)
+    init = sa.spectral_init(model.observed, seed)
     traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
     ledger = sa.build_ledger(model, traj, aux_seed=4242)
     return model, traj, ledger

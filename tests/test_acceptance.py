@@ -61,7 +61,7 @@ def test_criterion_01_decomposition_exactness():
         tseed = derive_seed(MASTER, "c1", i)
         v = sa.make_signal(kind="z2", n=n, seed=tseed)
         model = sa.make_spiked(lam, v, sa.sample_wigner(n, tseed))
-        init = sa.spectral_init(model.observed, sa.default_power_steps(n, lam), tseed)
+        init = sa.spectral_init(model.observed, tseed)
         traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
         assert traj.failure is None
         ledger = sa.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))

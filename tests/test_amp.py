@@ -57,7 +57,7 @@ def test_trajectory_lengths_and_states(z2_run):
 
 def test_run_amp_deterministic():
     model = _z2_model(80, 1.5, 21)
-    init = sa.spectral_init(model.observed, 10, 21)
+    init = sa.spectral_init(model.observed, 21)
     a = sa.run_amp(model, sa.fit_tanh, 1.5 * init.x1, init.x1, 5)
     b = sa.run_amp(model, sa.fit_tanh, 1.5 * init.x1, init.x1, 5)
     for xa, xb in zip(a.iterates, b.iterates):
@@ -82,7 +82,7 @@ def test_amp_steps_fits_each_iterate_once():
     # the engine calls the given fit once per x_t, in order, on the array it
     # yields, and the step carries the state that call returned
     model = _z2_model(80, 1.5, 21)
-    init = sa.spectral_init(model.observed, 10, 21)
+    init = sa.spectral_init(model.observed, 21)
     seen, states = [], []
 
     def fit(x):
@@ -124,7 +124,7 @@ def test_engine_runs_any_denoiser():
     # the loop, the ledger and the diagnostics use only the Denoiser methods
     # eta and onsager, so a denoiser defined outside the package runs through
     model = _z2_model(120, 1.5, 5)
-    init = sa.spectral_init(model.observed, 20, 5)
+    init = sa.spectral_init(model.observed, 5)
     steps = list(sa.amp_steps(model, _fit_arctan, 1.5 * init.x1, init.x1, 6))
     assert [s.failure for s in steps] == [None] * 6
     for step in steps:
@@ -146,7 +146,7 @@ def test_failing_fit_still_hands_out_its_iterate():
     # the fit of x_3 degenerates: the generator yields x_3 with the failure
     # and stops, and run_amp keeps x_3 but no fit of it
     model = _z2_model(80, 1.5, 21)
-    init = sa.spectral_init(model.observed, 10, 21)
+    init = sa.spectral_init(model.observed, 21)
     calls = []
 
     def failing(x):
@@ -172,12 +172,17 @@ def test_run_amp_rejects_bad_T():
         sa.run_amp(model, sa.fit_tanh, np.ones(20), np.ones(20), 0)
 
 
-@pytest.mark.parametrize("lam", [1.2, 1.5])
-def test_spectral_init_is_the_top_eigenpair(lam):
-    # Independent oracle: full symmetric eigendecomposition at n = 1000.
-    n, seed = 1000, 3
+@pytest.mark.parametrize("n, lam", [pytest.param(1000, 1.2, id="1.2"),
+                                    pytest.param(1000, 1.5, id="1.5"),
+                                    pytest.param(100, 1.5, id="1.5-n100"),
+                                    pytest.param(1000, 3.0, id="3.0")])
+def test_spectral_init_is_the_top_eigenpair(n, lam):
+    # Independent oracle: full symmetric eigendecomposition.  The last two
+    # cases take more matvecs than the power-iteration count
+    # min(8 log n / (lam-1)^2, n/4): the start must not stop on a step count.
+    seed = 3
     model = _z2_model(n, lam, seed)
-    init = sa.spectral_init(model.observed, amp.default_power_steps(n, lam), seed)
+    init = sa.spectral_init(model.observed, seed)
     assert abs(np.linalg.norm(init.x1) - 1.0) < 1e-12
     w, V = np.linalg.eigh(dense(model.observed))
     top = V[:, -1] if V[:, -1] @ init.x1 > 0 else -V[:, -1]
@@ -186,15 +191,14 @@ def test_spectral_init_is_the_top_eigenpair(lam):
 
 
 def test_spectral_init_agrees_with_power_steps():
-    # 2s power steps from the same substream start land on x1, sign included
+    # 444 power steps from the same substream start land on x1, sign included
     n, lam, seed = 1000, 1.5, 3
     model = _z2_model(n, lam, seed)
-    s = amp.default_power_steps(n, lam)
-    init = sa.spectral_init(model.observed, s, seed)
+    init = sa.spectral_init(model.observed, seed)
     y = substream(seed, "spectral-start").standard_normal(n)
     assert init.x1 @ y > 0
     M = dense(model.observed)
-    for _ in range(2 * s):
+    for _ in range(444):
         y = M @ y
         y /= np.linalg.norm(y)
     assert np.max(np.abs(y - init.x1)) < 1e-9
@@ -203,8 +207,7 @@ def test_spectral_init_agrees_with_power_steps():
 def test_spectral_lambda_max_vs_eigh():
     # Independent oracle: full symmetric eigendecomposition.
     model = _z2_model(300, 1.5, 0)
-    s = amp.default_power_steps(300, 1.5)
-    init = sa.spectral_init(model.observed, s, 0)
+    init = sa.spectral_init(model.observed, 0)
     top = np.linalg.eigvalsh(dense(model.observed))[-1]
     assert abs(init.lambda_max - top) < 1e-9
 
@@ -221,11 +224,8 @@ def test_spectral_start_matvec_bound(monkeypatch):
         return symv(M, y)
 
     monkeypatch.setattr(amp, "_symv", counting)
-    init = sa.spectral_init(model.observed, amp.default_power_steps(n, lam), seed)
+    init = sa.spectral_init(model.observed, seed)
     assert init.s == len(calls) <= 80
-    # s caps the matvecs exactly
-    calls.clear()
-    assert sa.spectral_init(model.observed, 7, seed).s == len(calls) == 7
 
 
 @pytest.mark.parametrize("diag, seed, steps", [([1.0, 1.0, 1.0, 1.0], 4, 1),
@@ -235,7 +235,7 @@ def test_spectral_init_returns_an_invariant_space_exactly(diag, seed, steps):
     # seed 4) ends the run with the exact pair, dividing by no vanishing
     # beta (RuntimeWarnings are errors here)
     M = np.diag(diag)
-    init = sa.spectral_init(M, 3, seed)
+    init = sa.spectral_init(M, seed)
     assert init.s == steps
     assert init.lambda_max == pytest.approx(max(diag), abs=1e-14)
     np.testing.assert_allclose(M @ init.x1, init.lambda_max * init.x1, atol=1e-14)
@@ -269,62 +269,43 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
         assert np.max(np.abs(got - full @ y)) <= bound
 
 
-def test_default_power_steps():
-    assert amp.default_power_steps(2000, 1.5) == int(
-        np.ceil(8 * np.log(2000) / 0.25)
-    )
-    # the n/4 cap engages for lam close to 1
-    assert amp.default_power_steps(100, 1.01) == 25
-    # a huge lam gives one step instead of overflowing (lam - 1)^2
-    assert amp.default_power_steps(100, 1e155) == 1
-    # below the spectral threshold the formula has no meaning
-    for lam in (1.0, 0.5, float("nan")):
-        with pytest.raises(ValueError, match="lam > 1"):
-            amp.default_power_steps(100, lam)
-
-
-def test_spectral_rejects_bad_s():
-    with pytest.raises(ValueError):
-        sa.spectral_init(np.eye(4), 0, 1)
-
-
 @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
 def test_spectral_rejects_non_square_M(shape):
     M = np.ones(shape)
     with pytest.raises(ValueError, match=re.escape(str(shape))):
-        sa.spectral_init(M, 3, 1)
+        sa.spectral_init(M, 1)
 
 
 def test_spectral_rejects_vanishing_power_step():
     # M y = 0 cannot be renormalized; it is a named failure instead
-    with pytest.raises(ValueError, match="power step 1"):
-        sa.spectral_init(np.zeros((4, 4)), 3, 1)
+    with pytest.raises(ValueError, match="Lanczos step 1"):
+        sa.spectral_init(np.zeros((4, 4)), 1)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200])
 def test_power_steps_normalize_huge_matrices(scale):
     # entries above ~1e154 overflow the plain sum of squares, not ||M y||
     M = np.eye(50) * scale
-    init = sa.spectral_init(M, 3, 1)
+    init = sa.spectral_init(M, 1)
     assert np.linalg.norm(init.x1) == pytest.approx(1.0, abs=1e-12)
     assert init.lambda_max / scale == pytest.approx(1.0, abs=1e-12)
     # a run of many steps hands LAPACK a tridiagonal whose squares would overflow
-    init = sa.spectral_init(np.diag(np.linspace(1.0, 2.0, 50)) * scale, 50, 1)
+    init = sa.spectral_init(np.diag(np.linspace(1.0, 2.0, 50)) * scale, 1)
     assert init.lambda_max / scale == pytest.approx(2.0, abs=1e-12)
     assert abs(init.x1[-1]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_power_steps_name_overflow():
     with pytest.raises(ValueError, match="overflowed"):
-        sa.spectral_init(np.full((50, 50), 1e308), 3, 1)
+        sa.spectral_init(np.full((50, 50), 1e308), 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_power_steps_name_a_nonfinite_matrix(bad):
     # a NaN or inf in M is named as such, not reported as an overflow
     with pytest.raises(ValueError, match=rf"M\[0, 0\] = {bad!r} is not finite"):
-        sa.spectral_init(np.full((6, 6), bad), 2, 1)
+        sa.spectral_init(np.full((6, 6), bad), 1)
     M = np.eye(6)
     M[2, 4] = M[4, 2] = bad
     with pytest.raises(ValueError, match=rf"M\[2, 4\] = {bad!r} is not finite"):
-        sa.spectral_init(M, 2, 1)
+        sa.spectral_init(M, 1)

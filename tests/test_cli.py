@@ -134,17 +134,6 @@ def test_refused_flag_values_exit_2(args, fragment, capsys):
     assert err.startswith("[config]") and fragment in err
 
 
-@pytest.mark.parametrize("command", ["z2", "decomp-audit", "spectral"])
-@pytest.mark.parametrize("s_power", ["0", "-3"])
-def test_nonpositive_s_power_exits_2(command, s_power, capsys):
-    # 0 is not "use the default", and -3 must not reach spectral_init
-    args = [command, "--n", "100", "--trials", "1", "--s-power", s_power]
-    if command != "spectral":  # spectral reads no T
-        args += ["--T", "3"]
-    assert cli.main(args) == 2
-    assert "s_power >= 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "args, flag",
     [
@@ -154,12 +143,17 @@ def test_nonpositive_s_power_exits_2(command, s_power, capsys):
         (["kappa-scan", "--quantity", "t2", "--n", "100"], "--n"),
         (["decomp-audit", "--n", "100", "--quantity", "kappa"], "--quantity"),
         (["spectral", "--n", "100", "--T", "3"], "--T"),
-        # no prefix matching: an ambiguous prefix and two unique ones
+        # the spectral start stops on its own residual test; it takes no cap
+        (["z2", "--n", "100", "--T", "2", "--s-power", "3"], "--s-power"),
+        (["decomp-audit", "--n", "100", "--T", "2", "--s-power", "3"], "--s-power"),
+        (["spectral", "--n", "100", "--s-power", "3"], "--s-power"),
+        # no prefix matching: --s would be --seed, --t --trials, --lam --lambda
         (["z2", "--n", "100", "--T", "2", "--s", "3"], "--s"),
         (["spectral", "--n", "50", "--t", "1", "--lam", "1.5"], "--t 1 --lam"),
     ],
     ids=["z2", "sparse", "se-scan", "kappa-scan", "decomp-audit", "spectral",
-         "z2-ambiguous-prefix", "spectral-unique-prefixes"],
+         "z2-s-power", "decomp-audit-s-power", "spectral-s-power",
+         "z2-unique-prefix", "spectral-unique-prefixes"],
 )
 def test_unread_flag_exits_2(args, flag, capsys):
     # a flag the subcommand's experiment does not read is refused, not ignored

@@ -86,7 +86,7 @@ def test_extend_basis_degenerate_error():
     n, lam, T, seed = 6, 1.5, 10, 1
     v = sa.make_signal(kind="z2", n=n, seed=seed)
     model = sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
-    init = sa.spectral_init(model.observed, 2, seed)
+    init = sa.spectral_init(model.observed, seed)
     traj = sa.run_amp(model, sa.fit_tanh, lam * init.x1, init.x1, T)
     assert traj.failure is None
     with pytest.raises(decomp.BasisDegenerateError):

@@ -127,6 +127,9 @@ def test_build_config_int_to_float_coercion():
           "c_tau": float("inf")}, "finite c_tau"),
         ({"experiment": "SparsePipeline", "n": 100, "k": 5, "T": 1, "lambda": 1.0,
           "init": "split", "p_split": float("inf")}, "p_split=inf,"),
+        # the spectral start stops on its own residual test; it takes no cap
+        ({"experiment": "Z2Pipeline", "n": 100, "T": 1, "lambda": 1.5, "s_power": 3},
+         "'s_power'"),
     ],
 )
 def test_build_config_rejections(data, fragment):
