@@ -356,7 +356,8 @@ def _trial_sparse(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
         v_c = v[Ic]
         nv = float(np.linalg.norm(v_c))
         lam_eff = lam * nv * nv
-        # M_cc = lam_eff u u^T + W_cc with u = v_c / ||v_c||
+        # M_cc = lam_eff u u^T + W_cc with u = v_c / ||v_c||; principal_block
+        # takes model.observed over, and nothing below reads it
         run_model = SpikedModel(Ic.size, lam_eff, v_c / nv, principal_block(model.observed, Ic))
         alpha_start = abs(float(run_model.v_star @ x1))
         rows.append(TrialRecord(tid, 0, "score", chosen.score))

@@ -6,7 +6,9 @@ below the diagonal are zero and never read.  sample_wigner writes the
 triangle into a buffer backed by an anonymous map, so the pages that would
 hold only lower entries are never committed, and the spike is added into
 that buffer a few rows at a time through one reused buffer, so building a
-model never holds a second n x n temporary.
+model never holds a second n x n temporary.  principal_block gathers a
+principal block into the map of the M it is given, so taking a block does
+not hold a second map either.
 """
 
 from __future__ import annotations
@@ -40,13 +42,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
-    """A zero float64 (rows, cols) array backed by an anonymous map.
+    """A zero float64 (rows, cols) array backed by a private anonymous map.
 
     A page is committed only when it is first written.  Huge pages are
     declined, so a page is 4 KB and an unwritten stretch of a row costs
-    nothing once it spans a page.
+    nothing once it spans a page.  The map is private because MADV_DONTNEED
+    frees the pages of a private map, where on a shared one it would only
+    drop them from this process's resident set.
     """
-    buf = mmap.mmap(-1, max(rows * cols, 1) * 8)  # a map cannot be empty
+    size = max(rows * cols, 1) * 8  # a map cannot be empty
+    buf = (mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) if hasattr(mmap, "MAP_PRIVATE")
+           else mmap.mmap(-1, size))
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.ndarray((rows, cols), dtype=np.float64, buffer=buf)
@@ -132,7 +138,8 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     entries below the diagonal are left as they are.  The caller gives
     `noise` up, so it must be a writeable, C-contiguous float64 array owning
     its data or backed directly by a map, not a view of another array.
-    v_star is copied.
+    lam must be finite.  v_star is copied; its all-zero 8-row blocks add
+    nothing and are skipped.
     """
     v_star = np.array(v_star, dtype=np.float64)
     n = v_star.shape[0]
@@ -147,11 +154,15 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     for prop, ok in needs.items():
         if not ok:
             raise ValueError(f"noise must be {prop}: make_spiked adds the spike into it")
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     nrm = np.linalg.norm(v_star)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"v_star must be unit norm, got ||v|| = {nrm!r}")
     buf = np.empty((min(_SPIKE_ROWS, n), n))
     for b in range(0, n, _SPIKE_ROWS):
+        if not v_star[b:b + _SPIKE_ROWS].any():
+            continue  # the block would add +-0.0 alone
         rows = buf[:min(_SPIKE_ROWS, n - b)]
         np.multiply(v_star[b:b + _SPIKE_ROWS, None], v_star, out=rows)
         rows *= lam
@@ -168,13 +179,54 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
 
 
 def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The upper triangle of M[index, index], read from the upper triangle of M.
+    """The upper triangle of M[index, index], gathered into M's own map.
 
-    index must be sorted, so that the block's entries (a, b) with a <= b lie
-    in M's upper triangle.  The block's entries below the diagonal are zero;
-    like M, it lives in an anonymous map, so their pages are never committed.
+    M holds the upper triangle of a symmetric matrix, as make_spiked's
+    `observed` does, and must be a square, C-contiguous float64 array backed
+    directly by a map of its own size, as sample_wigner returns.  M is
+    given up: block row a is written at offset a * m of M's map, with
+    zeros below its diagonal, and the pages past the block's m * m entries
+    are returned to the OS, so M must not be read afterwards.  The map is
+    written through an alias, so M's read-only flag is never changed.
+
+    index must be a one-dimensional integer array, strictly increasing and
+    within [0, n), so that the block's entries (a, b) with a <= b lie in
+    M's upper triangle.  The result is the (m, m) block, read-only, as a
+    view of the same map.
     """
-    B = _mapped_zeros(index.size, index.size)
+    needs = {"square": M.ndim == 2 and M.shape[0] == M.shape[1],
+             "float64": M.dtype == np.float64, "C-contiguous": M.flags.c_contiguous,
+             "backed directly by a map": (isinstance(M.base, mmap.mmap)
+                                          and len(M.base) == M.nbytes)}
+    for prop, ok in needs.items():
+        if not ok:
+            raise ValueError(f"M must be {prop}: principal_block gathers the block into M's map")
+    index = np.asarray(index)
+    n, m = M.shape[0], index.size
+    # each test below needs the ones before it to hold
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        prop = "a one-dimensional integer array"
+    elif np.any(index[1:] <= index[:-1]):
+        prop = "strictly increasing"
+    elif m and (index[0] < 0 or index[-1] >= n):
+        prop = f"within [0, {n})"
+    else:
+        prop = None
+    if prop is not None:
+        raise ValueError(f"index must be {prop}: principal_block reads M's upper triangle")
+    buf = M.base
+    B = np.ndarray((m, m), dtype=np.float64, buffer=buf)  # a writeable alias
+    # Block row a ends at entry (a+1) m <= (a+1) n <= index[a+1] n of the
+    # map, where source row index[a+1] begins, so no write lands on an
+    # entry still to be read.  Block row a may overlap its own source row,
+    # hence the scratch row; its entries left of a are zero, and one more
+    # is zeroed after each row.
+    row = np.zeros(m)
     for a, i in enumerate(index):
-        B[a, a:] = M[i, index[a:]]
-    return B
+        row[a:] = M[i, index[a:]]
+        B[a] = row
+        row[a] = 0.0
+    start = -(-B.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    if hasattr(mmap, "MADV_DONTNEED") and start < len(buf):
+        buf.madvise(mmap.MADV_DONTNEED, start)
+    return _freeze(B)

@@ -1,5 +1,6 @@
 """Instance construction: noise law, signal recipes, assembled model."""
 
+import mmap
 import os
 import subprocess
 import sys
@@ -45,8 +46,56 @@ def test_package_matrices_symmetric_bitwise():
         assert np.array_equal(block, full[np.ix_(rows, cols)])
     cross = sparse_init._read_block(model.observed, np.ix_(Ic, I), [], "read")
     assert np.array_equal(cross, full[np.ix_(Ic, I)])
-    upper = sa.principal_block(model.observed, Ic)
-    assert np.array_equal(upper, np.triu(full[np.ix_(Ic, Ic)]))
+    # the complement, all of M, one index, a block row over its own source
+    # row, and the last row; each gather gives its M up, so each takes a
+    # fresh build of the same model
+    for index in (Ic, np.arange(n), np.array([n // 2]), np.r_[0:4, 9:n:5], np.r_[2:n:7, n - 1]):
+        M = sa.make_spiked(3.0, v, sa.sample_wigner(n, 3)).observed
+        block = sa.principal_block(M, index)
+        assert np.shares_memory(block, M)
+        assert np.array_equal(block, np.triu(full[np.ix_(index, index)]))
+
+
+def test_principal_block_lower_part_is_zero():
+    # whatever M holds below its diagonal, the block holds zeros there; the
+    # pages of the map past the block are freed and read zero again
+    n = 200
+    M = sa.sample_wigner(n, 5)
+    M[np.tril_indices(n, -1)] = np.nan
+    want = dense(M.copy())
+    index = np.sort(np.random.default_rng(5).choice(n, size=90, replace=False))
+    block = sa.principal_block(M, index)
+    assert np.shares_memory(block, M)
+    assert np.array_equal(block, np.triu(want[np.ix_(index, index)]))
+    past = -(-block.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE // 8
+    assert not np.ndarray((n * n,), buffer=M.base)[past:].any()
+
+
+def _mapped(n: int, **kw) -> np.ndarray:
+    buf = mmap.mmap(-1, n * n * 8 + 8)
+    return np.ndarray((n, n), buffer=buf, **kw)
+
+
+@pytest.mark.parametrize(
+    "M, index, message",
+    [
+        (sa.sample_wigner(10, 1), [2, 0], "index must be strictly increasing"),
+        (sa.sample_wigner(10, 1), [3, 3], "index must be strictly increasing"),
+        (sa.sample_wigner(10, 1), [-1, 3], r"index must be within \[0, 10\)"),
+        (sa.sample_wigner(10, 1), [3, 10], r"index must be within \[0, 10\)"),
+        (sa.sample_wigner(10, 1), [[0, 1]], "index must be a one-dimensional integer array"),
+        (sa.sample_wigner(10, 1), [0.0, 1.0], "index must be a one-dimensional integer array"),
+        (np.zeros((3, 4)), [0, 1], "M must be square"),
+        (_mapped(10, dtype=np.float32), [0, 1], "M must be float64"),
+        (_mapped(10, order="F"), [0, 1], "M must be C-contiguous"),
+        (np.zeros((10, 10)), [0, 1], "M must be backed directly by a map"),
+        (sa.sample_wigner(10, 1).view(), [0, 1], "M must be backed directly by a map"),
+        (_mapped(10, offset=8), [0, 1], "M must be backed directly by a map"),
+    ],
+)
+def test_principal_block_refuses(M, index, message):
+    with pytest.raises(ValueError, match=message):
+        sa.principal_block(M, np.array(index))
 
 
 def test_wigner_frozen_values():
@@ -198,14 +247,14 @@ _RSS_PROBE = """
     small = harness.build_config({{"experiment": "Z2Pipeline", "n": 64, "lambda": 1.5, "T": 1}})
     harness._build_model(small, 1, "z2")  # first-call allocations
     n = {n}
-    config = harness.build_config({{"experiment": "Z2Pipeline", "n": n, "lambda": 1.5, "T": 1}})
+    config = harness.build_config({config!r})
     before = kib("VmRSS:")
     out = {build}
     print((kib("VmHWM:") - before) * 1024)
 """
 
 
-def _build_rss_bytes(n: int, build: str) -> int:
+def _build_rss_bytes(n: int, build: str, config: dict | None = None) -> int:
     # tracemalloc does not see an anonymous map, so a fresh interpreter reads
     # the growth of its peak resident set over the resident set just before
     # the build; a peak left from the imports can only raise the figure
@@ -213,7 +262,8 @@ def _build_rss_bytes(n: int, build: str) -> int:
         pytest.skip("needs /proc/self/status")
     src = Path(sa.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    code = textwrap.dedent(_RSS_PROBE).format(n=n, build=build)
+    config = {**(config or {"experiment": "Z2Pipeline", "lambda": 1.5}), "n": n, "T": 1}
+    code = textwrap.dedent(_RSS_PROBE).format(n=n, build=build, config=config)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return int(proc.stdout)
@@ -252,6 +302,17 @@ def test_harness_model_build_peak_memory():
     assert _build_rss_bytes(n, build) <= _upper_bound_bytes(n)
 
 
+def test_split_block_peak_memory_in_place():
+    # the complement block is gathered into the map of the M it comes from,
+    # so a split trial's build holds M's upper triangle alone, not M plus
+    # a second map for the block
+    n, k = 3000, 60
+    build = ('sa.principal_block((m := harness._build_model(config, 7, "sparse-dirac")).observed, '
+             f'sa.sample_split_init(m, *sa.default_split_params(n, {k}), 7).complement)')
+    sparse = {"experiment": "SparsePipeline", "k": k, "lambda": 3.0}
+    assert _build_rss_bytes(n, build, sparse) <= _upper_bound_bytes(n)
+
+
 def test_make_spiked_sparsity_count():
     v = sa.make_signal(kind="sparse-dirac", n=40, k=5, seed=8)
     m = sa.make_spiked(2.0, v, np.zeros((40, 40)))
@@ -261,6 +322,13 @@ def test_make_spiked_sparsity_count():
 def test_make_spiked_rejects_nonunit():
     with pytest.raises(ValueError):
         sa.make_spiked(1.0, np.ones(10), np.zeros((10, 10)))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_make_spiked_rejects_nonfinite_lam(lam):
+    v = sa.make_signal(kind="z2", n=10, seed=1)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        sa.make_spiked(lam, v, np.zeros((10, 10)))
 
 
 def test_make_spiked_leaves_v_star_writeable():
