@@ -72,4 +72,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -191,7 +191,8 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, int]:
     space fills R^n.  The tridiagonal is divided by ||M v|| before LAPACK
     sees it, so entries near the float64 limit do not overflow its squares.
     Only a non-finite ||M q|| searches M for a non-finite entry to name, so
-    a finite run allocates no n x n mask.
+    a finite run allocates no n x n mask.  The split oracle runs it on its
+    block too (sparse_init._block_top).
     """
     n = v.size
     # A mapped basis commits a row's pages only when the row is written.

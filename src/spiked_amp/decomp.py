@@ -104,12 +104,12 @@ def build_ledger(
     xis = np.empty((records, n))
     alphas, betas, xi_norms, leaks = [], [], [], []
     for k, direction in enumerate(directions):
-        # Gram-Schmidt against z_0..z_{k-1}; twice holds orthogonality at 1e-10
+        # Gram-Schmidt against z_0..z_{k-1} in two block passes (CGS2), which
+        # hold orthogonality at 1e-10
         U = basis[:k]
         r = np.array(direction, dtype=np.float64)
         for _ in range(2):
-            for z in U:
-                r -= (z @ r) * z
+            r -= (U @ r) @ U
         nrm = float(np.linalg.norm(r))
         if nrm <= 1e-12:
             raise BasisDegenerateError(f"iterate is in the span of the current {k} basis vectors")

@@ -4,7 +4,9 @@ Two entry points: diag_max_init picks the single coordinate with the largest
 diagonal magnitude (strong-SNR regime), and sample_split_init runs the
 N-round random-split procedure (weak-SNR regime): estimate the spike on a
 random index block, propagate through the cross block, soft-threshold, and
-keep the round whose candidate scores highest on the complement block.
+keep the round whose candidate scores highest on the complement block.  The
+estimate is the top eigenvector of the block's 2 k_hint largest diagonal
+entries, by the same Lanczos routine as the spectral start.
 
 The split rounds read the matrix only through _read_block, which reads each
 entry from M's upper triangle and logs a tag for each phase of access in the
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .denoise import _scaled_norm, soft_threshold
+from .amp import _lanczos_top
+from .denoise import soft_threshold
 from .model import SpikedModel
 
 __all__ = [
@@ -61,33 +64,25 @@ def _oracle_selection(d: np.ndarray, k_hint: int) -> np.ndarray:
     return np.sort(np.argsort(d)[::-1][: min(2 * k_hint, d.size)])
 
 
-def _block_power(B: np.ndarray) -> np.ndarray | None:
-    """Unit top eigenvector of B by power iteration; None when B @ y is zero.
+def _block_top(B: np.ndarray) -> np.ndarray | None:
+    """Unit top eigenvector of the symmetric block B; None when B's column at
+    its largest |diagonal| entry is zero.
 
-    Starts at the basis vector of B's largest |diagonal| entry, so the
-    result is deterministic.  A non-finite entry of B, or a non-finite
-    ||B y|| on the way, raises ValueError.
+    The spectral start's Lanczos run, from the basis vector e_i of that
+    entry, so the result is deterministic and signed with a positive i-th
+    entry.  A non-finite entry of B raises ValueError before the first
+    product, and an overflowing ||B q|| during the run raises too.
     """
     bad = np.argwhere(~np.isfinite(B))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"block entry B[{i}, {j}] = {float(B[i, j])!r} is not finite")
-    y = np.zeros(B.shape[0])
-    y[int(np.argmax(np.abs(np.diagonal(B))))] = 1.0
-    for step in range(1, 201):
-        y_new = B @ y
-        with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            nrm = _scaled_norm(y_new)
-        if not np.isfinite(nrm):
-            raise ValueError(f"block power step {step} overflowed: ||B y|| = {nrm!r} is not finite")
-        if nrm == 0.0:
-            return None if step == 1 else y
-        y_new /= nrm
-        moved = min(np.linalg.norm(y_new - y), np.linalg.norm(y_new + y))
-        y = y_new
-        if moved < 1e-13:
-            break
-    return y
+    i = int(np.argmax(np.abs(np.diagonal(B))))
+    if not B[:, i].any():
+        return None
+    e = np.zeros(B.shape[0])
+    e[i] = 1.0
+    return _lanczos_top(B, e)[0]
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,8 @@ def _split_round(M: np.ndarray, I: np.ndarray, Ic: np.ndarray, tau1: float, k_hi
     # the oracle on M_II, reading its diagonal and the selected block only
     sel = _oracle_selection(_read_block(M, (I, I), log, "read:II"), k_hint)
     J = I[sel]
-    y = _block_power(_read_block(M, np.ix_(J, J), log, "read:II"))
-    if y is None:  # all-zero block: the oracle's e_1, column I[0]
+    y = _block_top(_read_block(M, np.ix_(J, J), log, "read:II"))
+    if y is None:  # a zero column at the largest |diagonal|: the oracle's e_1, column I[0]
         J, y = I[:1], np.ones(1)
     log.append("oracle")
     v_j = _read_block(M, np.ix_(Ic, J), log, "read:IcI") @ y

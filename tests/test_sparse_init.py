@@ -61,16 +61,16 @@ def test_diag_max_ignores_off_diagonal(diag, seed):
 
 
 # ---------------------------------------------------------------------------
-# restricted-block power oracle
+# restricted-block oracle
 
 
 def _oracle_estimate(M_sub, k_hint):
-    """The oracle on a whole block M_sub: power iteration on the principal
+    """The oracle on a whole block M_sub: the top eigenvector of the principal
     block of its 2 k_hint largest diagonal entries, zero-padded back to
     M_sub's index range; an all-zero block gives e_1.  The split rounds
     compute the same estimate but read only the selected block."""
     sel = sparse_init._oracle_selection(np.diagonal(M_sub), k_hint)
-    y = sparse_init._block_power(M_sub[np.ix_(sel, sel)])
+    y = sparse_init._block_top(M_sub[np.ix_(sel, sel)])
     out = np.zeros(M_sub.shape[0])
     if y is None:
         out[0] = 1.0
@@ -95,7 +95,7 @@ def test_oracle_zero_matrix_degenerate():
 
 @pytest.mark.parametrize("scale", [1e155, 1e200])
 def test_oracle_normalizes_huge_blocks(scale):
-    # ||B y||^2 overflows here, ||B y|| does not: the power steps divide by
+    # ||B q||^2 overflows here, ||B q|| does not: the Lanczos run divides by
     # the scaled norm, so the estimate is a unit basis vector, not zero
     est = _oracle_estimate(np.eye(6) * scale, 2)
     assert np.count_nonzero(est) == 1
@@ -105,17 +105,30 @@ def test_oracle_normalizes_huge_blocks(scale):
 def test_oracle_reports_overflowing_block():
     # ||B y|| itself is beyond the float64 range: a named failure, not a
     # zero estimate from dividing by inf
-    with pytest.raises(ValueError, match="block power step 1 overflowed"):
+    with pytest.raises(ValueError, match="Lanczos step 1 overflowed"):
         _oracle_estimate(np.full((6, 6), 1e308), 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_block_power_names_a_nonfinite_entry(bad):
-    # checked before the first product, so numpy never warns on B @ y
+    # checked before the first product, so numpy never warns on B q
     B = np.eye(4)
     B[1, 3] = B[3, 1] = bad
     with pytest.raises(ValueError, match=rf"B\[1, 3\] = {bad!r} is not finite"):
-        sparse_init._block_power(B)
+        sparse_init._block_top(B)
+
+
+@pytest.mark.parametrize("ev", [
+    [1.0, 0.999, 0.5, 0.2, 0.0, -0.1, -0.4, -0.9],  # a top gap of 1e-3
+    [1.0, 0.6, 0.3, 0.0, -0.2, -0.5, -1.0, -3.0],  # |-3| beats the top eigenvalue
+])
+def test_oracle_is_the_top_eigenvector(ev):
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+    B = (Q * ev) @ Q.T
+    B = (B + B.T) / 2
+    want = np.linalg.eigh(B)[1][:, -1]
+    y = sparse_init._block_top(B)
+    assert min(np.linalg.norm(y - want), np.linalg.norm(y + want)) < 1e-10
 
 
 def test_oracle_truncates_to_selected_block():
