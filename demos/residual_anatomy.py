@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 import spiked_amp as sa
-from spiked_amp import decomp
 
 
 def main() -> int:
@@ -54,22 +53,24 @@ def main() -> int:
     print(f"[decomp] reconstruction relative error {rel:.2e} "
           f"(exact by construction), span leak {ledger.leaks[t - 1]:.2e}")
 
-    diag = decomp.residual_diagnostics(ledger, model, traj, t)
-    print(f"[driver] |eta(x_t) - eta(ideal_t)| = {diag.delta_norm:.6f}, "
-          f"Onsager mismatch {diag.delta_prime_avg:+.2e}, "
-          f"carried-over term {diag.Delta_abs:.6f}")
+    # x_t = v_t + xi_{t-1}: the Onsager mismatch compares the fit's
+    # derivative term at x_t with the one at v_t
+    state = traj.states[t - 1]
+    onsager_gap = traj.onsager[t - 1] - state.onsager(traj.iterates[t - 1] - ledger.xis[t - 2])
+    print(f"[driver] |eta(x_t) - eta(ideal_t)| = {ledger.delta_norms[t - 1]:.6f}, "
+          f"Onsager mismatch {onsager_gap:+.2e}, "
+          f"carried-over term {ledger.Delta_abs[t - 1]:.6f}")
     # mu lists where xi points inside the basis; a flat profile means no
     # single stale direction dominates the residual
-    top = np.argsort(-np.abs(diag.mu))[:3]
+    mu = ledger.basis[:L] @ ledger.xis[t - 1] / ledger.xi_norms[t - 1]
+    top = np.argsort(-np.abs(mu))[:3]
     print("[driver] largest residual coordinates: "
-          + ", ".join(f"z_{j}:{diag.mu[j]:+.3f}" for j in top))
+          + ", ".join(f"z_{j}:{mu[j]:+.3f}" for j in top))
 
-    rep = decomp.gaussianity_report(ledger, t=len(ledger.betas))
     rt = np.sqrt(args.n)
-    print(f"[frame] max pairwise phi correlation {rep.max_phi_corr:.4f} "
-          f"({rep.max_phi_corr * rt:.2f}/sqrt(n))")
-    print(f"[frame] mixed-iterate Wasserstein distance {rep.w1_mixed:.5f} "
-          f"({rep.w1_mixed * rt:.3f}/sqrt(n))")
+    corr, w1 = ledger.max_phi_corr[-1], ledger.w1_mixed[-1]
+    print(f"[frame] max pairwise phi correlation {corr:.4f} ({corr * rt:.2f}/sqrt(n))")
+    print(f"[frame] mixed-iterate Wasserstein distance {w1:.5f} ({w1 * rt:.3f}/sqrt(n))")
     ratio = ledger.xi_norms[t - 1] / np.linalg.norm(traj.iterates[t])
     print(f"[done] residual is {100 * ratio:.1f}% of the iterate norm at t={t}; "
           "it shrinks as n grows while the frame stays near-orthogonal")

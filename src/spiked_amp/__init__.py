@@ -20,12 +20,8 @@ from .amp import (
 from .decomp import (
     BasisDegenerateError,
     DecompositionLedger,
-    GaussianityReport,
     LedgerInconsistencyError,
-    ResidualDiagnostics,
     build_ledger,
-    gaussianity_report,
-    residual_diagnostics,
 )
 from .denoise import (
     DegenerateIterateError,
@@ -72,4 +68,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -20,6 +20,10 @@ spectrally initialized pipeline), the basis is seeded with z_0 = x_1/||x_1||
 before the loop; the exactness above then covers every recorded t, while
 x_1's own expansion residual is only measured, not constructed.  The seeded
 vector sits in the first row of `basis` and `offset` counts it.
+
+The same pass records the audit of each t: the residual's drivers delta_t
+and Delta_t, the largest phi correlation so far and the mixed iterate's W1
+distance to N(0, 1/n) (see DecompositionLedger).
 """
 
 from __future__ import annotations
@@ -36,13 +40,9 @@ from .model import SpikedModel
 __all__ = [
     "BasisDegenerateError",
     "DecompositionLedger",
-    "GaussianityReport",
     "LedgerInconsistencyError",
-    "ResidualDiagnostics",
     "build_ledger",
     "coordinate_w1",
-    "gaussianity_report",
-    "residual_diagnostics",
 ]
 
 # Coefficient of the z_k-direction variance correction in zeta_k.  The
@@ -63,8 +63,26 @@ class LedgerInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecompositionLedger:
-    """A replayed run.  zeta_k's pieces, z_k . W_k z_k and the g drawn from
-    substream(aux_seed, "phi-g", k), are folded into phis[k], not stored."""
+    """A replayed run and its audit, one entry per record t = 1..records.
+
+    zeta_k's pieces, z_k . W_k z_k and the g drawn from
+    substream(aux_seed, "phi-g", k), are folded into phis[k], not stored.
+    The audit sizes up the residual's drivers at t with the denoiser fitted
+    on x_t, trajectory.states[t - 1].  v_t = alpha_t v* + beta_{t-1} Phi is
+    the iterate with its residual xi_{t-1} removed (alpha_1 and beta_0 come
+    from eta_0(x_0)), and mu_t = U xi_t / ||xi_t|| is xi_t's direction in the
+    basis:
+
+    * delta_norms: ||eta_t(x_t) - eta_t(v_t)||, how far the denoiser moves
+      when the residual is added back;
+    * Delta_abs: |mu_t[:L-1] . (Phi eta_t(v_t) - eta_t'(v_t) beta_{t-1})|
+      with L = offset + t, the centered cross term between the residual
+      direction and the phis;
+    * max_phi_corr: the largest |phi_j . phi_k| over j != k < offset + t;
+      NaN while the ledger holds a single phi (offset 0, t = 1);
+    * w1_mixed: coordinate_w1(beta_t Phi / ||beta_t||, 1/n), the mixed
+      iterate against N(0, 1/n).
+    """
 
     basis: np.ndarray  # (K, n), row k is z_k; K = offset + records
     phis: np.ndarray  # (K, n), row k is phi_k
@@ -74,6 +92,10 @@ class DecompositionLedger:
     xi_norms: list[float]
     leaks: list[float]
     offset: int  # seeded basis vectors in front of z_1
+    delta_norms: list[float]
+    Delta_abs: list[float]
+    max_phi_corr: list[float]
+    w1_mixed: list[float]
 
 
 def _apply_projected(model: SpikedModel, U: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -93,7 +115,9 @@ def build_ledger(
 
     The basis is seeded with z_0 = x_1 / ||x_1|| exactly when the run's
     eta_0(x_0) is nonzero, which is when that direction is needed for the
-    residuals to stay inside the span.
+    residuals to stay inside the span.  Each record also appends its audit
+    entries, at O(t n) on top of the expansion: one new Gram row for the phi
+    correlations, and v_{t+1} from the same alpha and beta_t Phi as xi_t.
     """
     offset = int(np.any(trajectory.eta0_of_x0 != 0.0))
     n = model.n
@@ -103,6 +127,8 @@ def build_ledger(
     phis = np.empty_like(basis)
     xis = np.empty((records, n))
     alphas, betas, xi_norms, leaks = [], [], [], []
+    delta_norms, Delta_abs, max_phi_corr, w1_mixed = [], [], [], []
+    corr = 0.0
     for k, direction in enumerate(directions):
         # Gram-Schmidt against z_0..z_{k-1} in two block passes (CGS2), which
         # hold orthogonality at 1e-10
@@ -124,34 +150,44 @@ def build_ledger(
         t = k + 1 - offset
         if t < 1:
             continue
-        U = basis[: k + 1]
+        if t == 1:  # v_1 from eta_0(x_0); every later v_t is carried over
+            eta0 = trajectory.eta0_of_x0
+            beta_prev = U @ eta0
+            v = model.lam * float(model.v_star @ eta0) * model.v_star + beta_prev @ phis[:k]
+        state = trajectory.states[t - 1]  # the denoiser fitted on x_t
+        eta_v = state.eta(v)
+        eta_v_prime = state.onsager(v)
         eta_t = trajectory.denoised[t - 1]
+        U = basis[: k + 1]
         beta = U @ eta_t
         alpha_next = model.lam * float(model.v_star @ eta_t)
-        xi = xis[t - 1] = trajectory.iterates[t] - alpha_next * model.v_star - beta @ phis[: k + 1]
-        leak = float(np.linalg.norm(xi - (U @ xi) @ U))
+        signal = alpha_next * model.v_star
+        frame = beta @ phis[: k + 1]
+        xi = xis[t - 1] = trajectory.iterates[t] - signal - frame
+        coords = U @ xi
+        leak = float(np.linalg.norm(xi - coords @ U))
         if leak > _SPAN_TOL:
             raise LedgerInconsistencyError(
                 f"xi_{t} leaks {leak:.3e} outside the basis span (tolerance {_SPAN_TOL:g})"
             )
+        xi_norm = float(np.linalg.norm(xi))
+        mu = coords / xi_norm
+        if k:
+            corr = max(corr, float(np.max(np.abs(phis[:k] @ phis[k]))))
         alphas.append(alpha_next)
         betas.append(beta)
-        xi_norms.append(float(np.linalg.norm(xi)))
+        xi_norms.append(xi_norm)
         leaks.append(leak)
+        delta_norms.append(float(np.linalg.norm(eta_t - eta_v)))
+        Delta_abs.append(abs(float(mu[:k] @ (phis[:k] @ eta_v - eta_v_prime * beta_prev))))
+        max_phi_corr.append(corr if k else float("nan"))
+        w1_mixed.append(coordinate_w1(frame / np.linalg.norm(beta), 1.0 / n))
+        beta_prev, v = beta, signal + frame
     return DecompositionLedger(
         basis=basis, phis=phis, xis=xis, alphas=alphas, betas=betas, xi_norms=xi_norms,
-        leaks=leaks, offset=offset,
+        leaks=leaks, offset=offset, delta_norms=delta_norms, Delta_abs=Delta_abs,
+        max_phi_corr=max_phi_corr, w1_mixed=w1_mixed,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-@dataclass(frozen=True)
-class GaussianityReport:
-    max_phi_corr: float
-    w1_mixed: float
 
 
 def coordinate_w1(x: np.ndarray, var: float) -> float:
@@ -163,73 +199,3 @@ def coordinate_w1(x: np.ndarray, var: float) -> float:
     n = x.shape[0]
     q = ndtri((np.arange(1, n + 1) - 0.5) / n) * np.sqrt(var)
     return float(np.mean(np.abs(np.sort(x) - q)))
-
-
-def gaussianity_report(ledger: DecompositionLedger, t: int) -> GaussianityReport:
-    """Correlation and W1 summaries of the synthesized phis at iteration t.
-
-    The report covers the ledger's state just after iteration t was recorded:
-    the first offset + t phis, and beta_t for the mix.  t = len(ledger.betas)
-    is the full ledger.
-    """
-    if t < 1 or t > len(ledger.betas):
-        raise ValueError(f"no recorded iteration {t}")
-    upto = ledger.offset + t
-    if upto < 2:
-        raise ValueError("need at least two phi vectors")
-    Phi = ledger.phis[:upto]
-    beta = ledger.betas[t - 1]
-    gram = Phi @ Phi.T
-    off = gram[~np.eye(upto, dtype=bool)]
-    mixed = beta @ Phi / np.linalg.norm(beta)
-    return GaussianityReport(
-        max_phi_corr=float(np.max(np.abs(off))),
-        w1_mixed=coordinate_w1(mixed, 1.0 / Phi.shape[1]),
-    )
-
-
-@dataclass(frozen=True)
-class ResidualDiagnostics:
-    delta_norm: float
-    delta_prime_avg: float
-    Delta_abs: float
-    mu: np.ndarray
-
-
-def residual_diagnostics(
-    ledger: DecompositionLedger,
-    model: SpikedModel,
-    trajectory: AmpTrajectory,
-    t: int,
-) -> ResidualDiagnostics:
-    """Size up the residual recursion's driving terms at iteration t.
-
-    v_t is the iterate with its own residual removed; delta_t measures how
-    far the denoiser moves when that residual is added back, and Delta_t is
-    the centered cross term between the residual direction and the phis.
-    Both evaluate the denoiser fitted on x_t, trajectory.states[t - 1], at
-    v_t through its eta and onsager methods.
-    """
-    if t < 1 or t > len(ledger.xis):
-        raise ValueError(f"no recorded decomposition for iteration {t}")
-    eta_prev = trajectory.denoised[t - 2] if t >= 2 else trajectory.eta0_of_x0
-    L_prev = ledger.offset + t - 1
-    L = ledger.offset + t
-    alpha_t = model.lam * float(model.v_star @ eta_prev)
-    beta_prev = ledger.basis[:L_prev] @ eta_prev
-    v_t = alpha_t * model.v_star + beta_prev @ ledger.phis[:L_prev]
-
-    state = trajectory.states[t - 1]  # the denoiser fitted on x_t
-    eta_v = state.eta(v_t)
-    delta = trajectory.denoised[t - 1] - eta_v
-    eta_v_prime = state.onsager(v_t)
-    delta_prime = trajectory.onsager[t - 1] - eta_v_prime
-
-    mu = ledger.basis[:L] @ ledger.xis[t - 1] / ledger.xi_norms[t - 1]
-    Delta = mu[:L_prev] @ (ledger.phis[:L_prev] @ eta_v - eta_v_prime * beta_prev)
-    return ResidualDiagnostics(
-        delta_norm=float(np.linalg.norm(delta)),
-        delta_prime_avg=float(delta_prime),
-        Delta_abs=abs(float(Delta)),
-        mu=mu,
-    )

@@ -6,8 +6,9 @@ refuses any other key, naming it, as it refuses values the run would reject
 later.  run_experiment executes
 the trial-based ones: Z2Pipeline, SparsePipeline and SpectralCorrelation give
 flat TrialRecord rows, DecompAudit gives one DecompRow per trial and ledger
-entry.  The two grid scans (SeScan, KappaScan) go through run_scan and return
-ScanRow rows with the bound and pass flag attached.
+entry, read from the ledger's per-t lists.  The two grid scans (SeScan,
+KappaScan) go through run_scan and return ScanRow rows with the bound and
+pass flag attached.
 
 Determinism contract: every trial derives its own seed from (config.seed,
 trial index), so results are byte-identical regardless of worker count or
@@ -417,24 +418,20 @@ def _trial_decomp(args: tuple[ExperimentConfig, int]) -> list[DecompRow]:
     if traj.failure is not None:
         raise DegenerateIterateError(f"AMP degenerated at t={traj.failure[0]}: {traj.failure[1]}")
     ledger = decomp.build_ledger(model, traj, aux_seed=derive_seed(tseed, "ledger"))
-    rows: list[DecompRow] = []
-    for t in range(1, len(ledger.xis) + 1):
-        diag = decomp.residual_diagnostics(ledger, model, traj, t)
-        report = decomp.gaussianity_report(ledger, t=t)
-        rows.append(
-            DecompRow(
-                trial_id=tid,
-                t=t,
-                alpha=ledger.alphas[t - 1],
-                beta_norm=float(np.linalg.norm(ledger.betas[t - 1])),
-                xi_norm=ledger.xi_norms[t - 1],
-                delta_norm=diag.delta_norm,
-                Delta_abs=diag.Delta_abs,
-                max_phi_corr=report.max_phi_corr,
-                w1_mixed=report.w1_mixed,
-            )
+    return [
+        DecompRow(
+            trial_id=tid,
+            t=t,
+            alpha=ledger.alphas[t - 1],
+            beta_norm=float(np.linalg.norm(ledger.betas[t - 1])),
+            xi_norm=ledger.xi_norms[t - 1],
+            delta_norm=ledger.delta_norms[t - 1],
+            Delta_abs=ledger.Delta_abs[t - 1],
+            max_phi_corr=ledger.max_phi_corr[t - 1],
+            w1_mixed=ledger.w1_mixed[t - 1],
         )
-    return rows
+        for t in range(1, len(ledger.xis) + 1)
+    ]
 
 
 _TRIAL_FNS = {

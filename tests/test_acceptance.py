@@ -1,4 +1,4 @@
-"""Eleven end-to-end acceptance checks at desk scale.
+"""Twelve end-to-end acceptance checks at desk scale.
 
 Each test prints one `[criterion NN] PASS|FAIL - detail` line (visible with
 `pytest -s`) and then asserts.  Operating points, tolerances and runtime
@@ -491,3 +491,43 @@ def test_criterion_11_monte_carlo_oracles():
     elapsed = time.perf_counter() - t0
     _report(11, True, f"{checks} closed-form vs Monte Carlo comparisons, "
                       f"worst {worst_sigmas:.2f} standard errors; {elapsed:.1f}s")
+
+
+def test_criterion_12_long_horizon_z2_tracking():
+    # Part A: claim (i) at its own horizon.  Harness run, n=2000,
+    # lambda=1.5, T = ceil(n / ln n) = 264, m = 8 trials: no trial fails,
+    # the median over trials of |alpha_t^2 - tau_t| / tau_t stays within
+    # criterion 03's 0.15 for t in 3..T, and its maximum over [T/2, T]
+    # exceeds its value at t = 20 by at most a slack.  The slack is three
+    # standard errors of a difference of two m-trial medians:
+    # 3 * sqrt(2) * sqrt(pi/2) * s / sqrt(m) = 3 * sqrt(pi) * s / sqrt(m),
+    # where sqrt(pi/2) s / sqrt(m) is the large-sample standard error of a
+    # median of m draws with spread s, and s is the sample standard
+    # deviation over trials of the per-trial gap at t = 20.  Budget 120 s.
+    # Part B (the ledger's residual over the same horizon) waits for the
+    # ledger to follow AMP past convergence.
+    t0 = time.perf_counter()
+    n, lam, m = 2000, 1.5, 8
+    T = int(np.ceil(n / np.log(n)))
+    config = harness.build_config(
+        {"experiment": "Z2Pipeline", "n": n, "lambda": lam, "T": T,
+         "trials": m, "seed": derive_seed(MASTER, "c12")}
+    )
+    rows = harness.run_experiment(config)
+    failed = sorted({r.trial_id for r in rows if r.metric_name == "error_code"})
+    pairs = _paired(rows, "alpha_sq", "tau_t")
+    gaps = {t: [abs(a - tau) / tau for a, tau in pairs[t]] for t in range(3, T + 1)}
+    assert all(len(g) == m for g in gaps.values())
+    median = {t: float(np.median(g)) for t, g in gaps.items()}
+    worst = max(median.values())
+    late = max(median[t] for t in range(T // 2, T + 1))
+    slack = 3.0 * np.sqrt(np.pi) * float(np.std(gaps[20], ddof=1)) / np.sqrt(m)
+    elapsed = time.perf_counter() - t0
+    ok = not failed and worst <= 0.15 and late - median[20] <= slack and elapsed <= 120
+    _report(12, ok, f"T={T}, failed trials {failed}, max median rel gap {worst:.4f} "
+                    f"(tol 0.15), late max {late:.4f} vs t=20 {median[20]:.4f} "
+                    f"(slack {slack:.4f}) in {elapsed:.1f}s")
+    assert not failed
+    assert worst <= 0.15
+    assert late - median[20] <= slack
+    assert elapsed <= 120
