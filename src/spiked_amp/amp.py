@@ -181,8 +181,9 @@ class SpectralInit:
     lambda_max: float
 
 
-def _lanczos_top(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Top Ritz pair of M from the unit start v: (x, theta, matvecs done).
+def spectral_init(M: np.ndarray, seed: int) -> SpectralInit:
+    """The top eigenpair of M (see SpectralInit) by Lanczos from the random
+    unit vector v of substream(seed, "spectral-start").
 
     Every Lanczos vector is reorthogonalized against the stored basis by
     CGS2.  The run stops once the Ritz residual ||M x - theta x|| =
@@ -191,10 +192,14 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, int]:
     space fills R^n.  The tridiagonal is divided by ||M v|| before LAPACK
     sees it, so entries near the float64 limit do not overflow its squares.
     Only a non-finite ||M q|| searches M for a non-finite entry to name, so
-    a finite run allocates no n x n mask.  The split oracle runs it on its
-    block too (sparse_init._block_top).
+    a finite run allocates no n x n mask.  Only M's upper triangle is read.
+    The split oracle calls it on its block (sparse_init._block_top).
     """
-    n = v.size
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"M must be a nonempty square 2-D matrix, got shape {M.shape}")
+    n = M.shape[0]
+    v = substream(seed, "spectral-start").standard_normal(n)
+    v /= np.linalg.norm(v)
     # A mapped basis commits a row's pages only when the row is written.
     # np.empty advises huge pages from 4 MB on, which commit 2 MB at a time.
     Q = _mapped_zeros(n, n)
@@ -234,23 +239,4 @@ def _lanczos_top(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, int]:
     x /= np.linalg.norm(x)
     if x @ v < 0.0:
         x = -x
-    return x, float(theta[0]) * scale, j + 1
-
-
-def _check_square(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be a square 2-D matrix, got shape {M.shape}")
-
-
-def spectral_init(M: np.ndarray, seed: int) -> SpectralInit:
-    """The top eigenpair of M by Lanczos, run until its Ritz residual is at
-    most 1e-12 |lambda_max| (see SpectralInit).
-
-    The start is the random unit vector of substream(seed, "spectral-start").
-    M is stored as its upper triangle; only that triangle is read.
-    """
-    _check_square(M)
-    v = substream(seed, "spectral-start").standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    x1, theta, matvecs = _lanczos_top(M, v)
-    return SpectralInit(x1=x1, s=matvecs, lambda_max=theta)
+    return SpectralInit(x1=x, s=j + 1, lambda_max=float(theta[0]) * scale)

@@ -6,7 +6,9 @@ N-round random-split procedure (weak-SNR regime): estimate the spike on a
 random index block, propagate through the cross block, soft-threshold, and
 keep the round whose candidate scores highest on the complement block.  The
 estimate is the top eigenvector of the block's 2 k_hint largest diagonal
-entries, by the same Lanczos routine as the spectral start.
+entries: spectral_init on that block, started from round j's own seed
+derive_seed(seed, "split-oracle", j) and signed so that its entry at the
+block's largest |diagonal| is nonnegative.
 
 The split rounds read the matrix only through _read_block, which reads each
 entry from M's upper triangle and logs a tag for each phase of access in the
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import substream
-from .amp import _lanczos_top
+from ._rng import derive_seed, substream
+from .amp import spectral_init
 from .denoise import soft_threshold
 from .model import SpikedModel
 
@@ -64,25 +66,17 @@ def _oracle_selection(d: np.ndarray, k_hint: int) -> np.ndarray:
     return np.sort(np.argsort(d)[::-1][: min(2 * k_hint, d.size)])
 
 
-def _block_top(B: np.ndarray) -> np.ndarray | None:
-    """Unit top eigenvector of the symmetric block B; None when B's column at
-    its largest |diagonal| entry is zero.
+def _block_top(B: np.ndarray, seed: int) -> np.ndarray | None:
+    """Unit top eigenvector of the symmetric block B, signed so that its entry
+    at B's largest |diagonal| is nonnegative; None when B is all zero.
 
-    The spectral start's Lanczos run, from the basis vector e_i of that
-    entry, so the result is deterministic and signed with a positive i-th
-    entry.  A non-finite entry of B raises ValueError before the first
-    product, and an overflowing ||B q|| during the run raises too.
+    spectral_init(B, seed) computes it, so a non-finite entry of B and an
+    overflowing ||B q|| raise ValueError under that function's names.
     """
-    bad = np.argwhere(~np.isfinite(B))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"block entry B[{i}, {j}] = {float(B[i, j])!r} is not finite")
-    i = int(np.argmax(np.abs(np.diagonal(B))))
-    if not B[:, i].any():
+    if not B.any():
         return None
-    e = np.zeros(B.shape[0])
-    e[i] = 1.0
-    return _lanczos_top(B, e)[0]
+    y = spectral_init(B, seed).x1
+    return -y if y[np.argmax(np.abs(np.diagonal(B)))] < 0.0 else y
 
 
 @dataclass(frozen=True)
@@ -119,15 +113,15 @@ def default_split_params(n: int, k: int) -> tuple[float, int, float]:
 
 
 def _split_round(M: np.ndarray, I: np.ndarray, Ic: np.ndarray, tau1: float, k_hint: int,
-                 log: list[str]) -> tuple[np.ndarray | None, float]:
+                 oracle_seed: int, log: list[str]) -> tuple[np.ndarray | None, float]:
     """(x_j, score) of one split round, or (None, -inf) when it is skipped."""
     if I.size == 0 or Ic.size == 0:
         return None, float("-inf")
     # the oracle on M_II, reading its diagonal and the selected block only
     sel = _oracle_selection(_read_block(M, (I, I), log, "read:II"), k_hint)
     J = I[sel]
-    y = _block_top(_read_block(M, np.ix_(J, J), log, "read:II"))
-    if y is None:  # a zero column at the largest |diagonal|: the oracle's e_1, column I[0]
+    y = _block_top(_read_block(M, np.ix_(J, J), log, "read:II"), oracle_seed)
+    if y is None:  # an all-zero block: the oracle's e_1, column I[0]
         J, y = I[:1], np.ones(1)
     log.append("oracle")
     v_j = _read_block(M, np.ix_(Ic, J), log, "read:IcI") @ y
@@ -168,12 +162,15 @@ def sample_split_rounds(
     if k_hint is None:
         k = model.sparsity if model.sparsity is not None else n
         k_hint = max(1, round(k * p))
+    if k_hint < 1:
+        raise ValueError(f"k_hint must be at least 1, got {k_hint}")
     rounds: list[SplitRound] = []
     for j in range(N):
         mask = substream(seed, "split-round", j).random(n) < p
         I, Ic = np.flatnonzero(mask), np.flatnonzero(~mask)
         log: list[str] = []
-        x_j, score = _split_round(model.observed, I, Ic, tau1, k_hint, log)
+        x_j, score = _split_round(model.observed, I, Ic, tau1, k_hint,
+                                  derive_seed(seed, "split-oracle", j), log)
         rounds.append(SplitRound(index_set=I, complement=Ic, x_j=x_j, score=score,
                                  skipped=x_j is None, events=tuple(log)))
     return rounds

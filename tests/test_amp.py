@@ -270,7 +270,7 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
         assert np.max(np.abs(got - full @ y)) <= bound
 
 
-@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2), (0, 0)])
 def test_spectral_rejects_non_square_M(shape):
     M = np.ones(shape)
     with pytest.raises(ValueError, match=re.escape(str(shape))):

@@ -46,8 +46,10 @@ def test_deterministic_bytewise(tmp_path):
         ["z2", "--n", "80", "--T", "2", "--trials", "4", "--seed", "3"],
         ["decomp-audit", "--n", "100", "--T", "3", "--trials", "4", "--seed", "3"],
         ["spectral", "--n", "80", "--trials", "4", "--seed", "3"],
+        ["sparse", "--init", "split", "--n", "200", "--k", "12", "--lambda", "3", "--T", "2",
+         "--trials", "4", "--p-split", "0.5", "--n-rounds", "4", "--seed", "3"],
     ],
-    ids=["z2", "decomp-audit", "spectral"],
+    ids=["z2", "decomp-audit", "spectral", "sparse-split"],
 )
 def test_worker_count_does_not_change_output(args, tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import spiked_amp as sa
 from spiked_amp import sparse_init
-from spiked_amp._rng import substream
+from spiked_amp._rng import derive_seed, substream
 from spiked_amp.denoise import soft_threshold
 from spiked_amp.model import SpikedModel
 
@@ -64,13 +64,14 @@ def test_diag_max_ignores_off_diagonal(diag, seed):
 # restricted-block oracle
 
 
-def _oracle_estimate(M_sub, k_hint):
+def _oracle_estimate(M_sub, k_hint, seed):
     """The oracle on a whole block M_sub: the top eigenvector of the principal
-    block of its 2 k_hint largest diagonal entries, zero-padded back to
-    M_sub's index range; an all-zero block gives e_1.  The split rounds
-    compute the same estimate but read only the selected block."""
+    block of its 2 k_hint largest diagonal entries, from the oracle seed
+    `seed`, zero-padded back to M_sub's index range; an all-zero block gives
+    e_1.  The split rounds compute the same estimate but read only the
+    selected block."""
     sel = sparse_init._oracle_selection(np.diagonal(M_sub), k_hint)
-    y = sparse_init._block_top(M_sub[np.ix_(sel, sel)])
+    y = sparse_init._block_top(M_sub[np.ix_(sel, sel)], seed)
     out = np.zeros(M_sub.shape[0])
     if y is None:
         out[0] = 1.0
@@ -82,53 +83,63 @@ def _oracle_estimate(M_sub, k_hint):
 def test_oracle_noiseless_rank_one_mixed_signs():
     v = np.array([3.0, -4.0, 1.0, -2.0, 5.0])
     v /= np.linalg.norm(v)
-    est = _oracle_estimate(1.7 * np.outer(v, v), k_hint=5)
+    est = _oracle_estimate(1.7 * np.outer(v, v), k_hint=5, seed=0)
     err = min(np.linalg.norm(est - v), np.linalg.norm(est + v))
     assert err < 1e-8
     assert np.linalg.norm(est) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_zero_matrix_degenerate():
-    est = _oracle_estimate(np.zeros((4, 4)), k_hint=2)
+    est = _oracle_estimate(np.zeros((4, 4)), k_hint=2, seed=0)
     np.testing.assert_array_equal(est, [1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200])
 def test_oracle_normalizes_huge_blocks(scale):
     # ||B q||^2 overflows here, ||B q|| does not: the Lanczos run divides by
-    # the scaled norm, so the estimate is a unit basis vector, not zero
-    est = _oracle_estimate(np.eye(6) * scale, 2)
-    assert np.count_nonzero(est) == 1
+    # the scaled norm, so the estimate is a finite unit eigenvector, not zero
+    B = np.eye(6) * scale
+    est = _oracle_estimate(B, 2, seed=0)
+    assert np.all(np.isfinite(est))
     assert np.linalg.norm(est) == 1.0
+    np.testing.assert_array_equal(B @ est, scale * est)
 
 
 def test_oracle_reports_overflowing_block():
     # ||B y|| itself is beyond the float64 range: a named failure, not a
     # zero estimate from dividing by inf
-    with pytest.raises(ValueError, match="Lanczos step 1 overflowed"):
-        _oracle_estimate(np.full((6, 6), 1e308), 2)
+    with pytest.raises(ValueError, match=r"Lanczos step \d+ overflowed"):
+        _oracle_estimate(np.full((6, 6), 1e308), 2, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_block_power_names_a_nonfinite_entry(bad):
-    # checked before the first product, so numpy never warns on B q
+def test_oracle_names_a_nonfinite_entry(bad):
+    # the products are BLAS calls, so numpy never warns on B q
     B = np.eye(4)
     B[1, 3] = B[3, 1] = bad
-    with pytest.raises(ValueError, match=rf"B\[1, 3\] = {bad!r} is not finite"):
-        sparse_init._block_top(B)
+    with pytest.raises(ValueError, match=rf"M\[1, 3\] = {bad!r} is not finite"):
+        sparse_init._block_top(B, 0)
 
 
-@pytest.mark.parametrize("ev", [
-    [1.0, 0.999, 0.5, 0.2, 0.0, -0.1, -0.4, -0.9],  # a top gap of 1e-3
-    [1.0, 0.6, 0.3, 0.0, -0.2, -0.5, -1.0, -3.0],  # |-3| beats the top eigenvalue
-])
-def test_oracle_is_the_top_eigenvector(ev):
-    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+def _rotated(ev):
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((len(ev), len(ev))))
     B = (Q * ev) @ Q.T
-    B = (B + B.T) / 2
+    return (B + B.T) / 2
+
+
+@pytest.mark.parametrize("B", [
+    _rotated([1.0, 0.999, 0.5, 0.2, 0.0, -0.1, -0.4, -0.9]),  # a top gap of 1e-3
+    _rotated([1.0, 0.6, 0.3, 0.0, -0.2, -0.5, -1.0, -3.0]),  # |-3| beats the top eigenvalue
+    # reducible: the basis vector of the largest |diagonal| spans an
+    # invariant subspace that misses the top eigenvector
+    np.diag([-5.0, 3.0]),
+    np.array([[-5.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
+], ids=["ev0", "ev1", "diagonal", "reducible"])
+def test_oracle_is_the_top_eigenvector(B):
     want = np.linalg.eigh(B)[1][:, -1]
-    y = sparse_init._block_top(B)
+    y = sparse_init._block_top(B, 0)
     assert min(np.linalg.norm(y - want), np.linalg.norm(y + want)) < 1e-10
+    assert y[np.argmax(np.abs(np.diagonal(B)))] >= 0.0
 
 
 def test_oracle_truncates_to_selected_block():
@@ -139,7 +150,7 @@ def test_oracle_truncates_to_selected_block():
     v[0], v[3] = 0.6, 0.8
     M = 2.0 * np.outer(v, v)
     M[2, 2] = 50.0
-    est = _oracle_estimate(M, k_hint=1)
+    est = _oracle_estimate(M, k_hint=1, seed=0)
     outside = [1, 4]
     assert np.all(est[outside] == 0.0)
 
@@ -150,7 +161,7 @@ def test_oracle_pure_noise_no_hallucinated_signal():
     hits = 0
     for seed in range(20):
         W = sa.sample_wigner(m, seed)
-        est = _oracle_estimate(W, k_hint=10)
+        est = _oracle_estimate(W, k_hint=10, seed=seed)
         if abs(float(v @ est)) <= 5.0 / np.sqrt(m):
             hits += 1
     assert hits >= 18
@@ -293,6 +304,14 @@ def test_round_parameter_validation(split_model, kwargs):
         sparse_init.sample_split_rounds(split_model, seed=0, **kwargs)
 
 
+@pytest.mark.parametrize("k_hint", [0, -3])
+def test_round_refuses_k_hint_below_one(split_model, k_hint):
+    # 0 would select an empty block, -3 all but six diagonal entries
+    with pytest.raises(ValueError, match=f"k_hint must be at least 1, got {k_hint}"):
+        sparse_init.sample_split_rounds(split_model, p=0.3, N=2, tau1=0.2, seed=5,
+                                        k_hint=k_hint)
+
+
 def test_k_hint_default(split_model, monkeypatch):
     seen = []
     real = sparse_init._oracle_selection
@@ -322,7 +341,7 @@ def _dense_rounds(model, p, N, tau1, seed, k_hint):
         if I.size == 0 or Ic.size == 0:
             out.append((I, Ic, None, float("-inf"), True, ()))
             continue
-        est = _oracle_estimate(M[np.ix_(I, I)], k_hint)
+        est = _oracle_estimate(M[np.ix_(I, I)], k_hint, derive_seed(seed, "split-oracle", j))
         x_raw = soft_threshold(M[np.ix_(Ic, I)] @ est, tau1)
         nrm = float(np.linalg.norm(x_raw))
         if nrm == 0.0:
