@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy would load it lazily, in a trial's first draw)
 
 __all__ = ["derive_seed", "substream"]
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dsymv
 
+from ._lapack import dsymv, tridiagonal_top
 from ._rng import substream
 from .denoise import DegenerateIterateError, Denoiser, _scaled_norm
 from .model import SpikedModel, _mapped_zeros
@@ -229,14 +228,14 @@ def spectral_init(M: np.ndarray, seed: int) -> SpectralInit:
         w -= h2 @ basis
         alpha.append((h[j] + h2[j]) / scale)
         w_norm = _scaled_norm(w)
-        theta, S = eigh_tridiagonal(alpha, beta, select="i", select_range=(j, j))
+        theta, s = tridiagonal_top(alpha, beta)
         b = w_norm / scale
-        if b * abs(S[-1, 0]) <= _RITZ_TOL * abs(theta[0]) or j + 1 == n:
+        if b * abs(s[-1]) <= _RITZ_TOL * abs(theta) or j + 1 == n:
             break  # before the division: a vanishing w_norm always stops here
         beta.append(b)
         Q[j + 1] = w / w_norm
-    x = S[:, 0] @ basis
+    x = s @ basis
     x /= np.linalg.norm(x)
     if x @ v < 0.0:
         x = -x
-    return SpectralInit(x1=x, s=j + 1, lambda_max=float(theta[0]) * scale)
+    return SpectralInit(x1=x, s=j + 1, lambda_max=theta * scale)

@@ -29,9 +29,10 @@ distance to N(0, 1/n) (see DecompositionLedger).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._rng import substream
 from .amp import AmpTrajectory, _symv
@@ -196,6 +197,14 @@ def coordinate_w1(x: np.ndarray, var: float) -> float:
     Sorted-quantile coupling: both laws are matched at the (i - 1/2)/n
     quantiles, which is the optimal transport plan in one dimension.
     """
-    n = x.shape[0]
-    q = ndtri((np.arange(1, n + 1) - 0.5) / n) * np.sqrt(var)
+    q = _normal_quantiles(x.shape[0]) * np.sqrt(var)
     return float(np.mean(np.abs(np.sort(x) - q)))
+
+
+@lru_cache(maxsize=4)
+def _normal_quantiles(n: int) -> np.ndarray:
+    """The (i - 1/2)/n quantiles of N(0, 1), i = 1..n, read-only."""
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
+    q.flags.writeable = False
+    return q

@@ -8,12 +8,14 @@ scans.  No randomness, no matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, roots_hermite
+
+from ._lapack import dstevd
 
 __all__ = [
     "ConvergenceFailureError",
@@ -73,11 +75,18 @@ class Quadrature:
 
 @lru_cache(maxsize=8)
 def gauss_hermite(order: int = DEFAULT_ORDER) -> Quadrature:
-    # scipy's Golub-Welsch nodes stay finite at high order, unlike the
-    # numpy.polynomial version which overflows beyond ~400 nodes.
-    x, w = roots_hermite(order)
-    nodes = x * np.sqrt(2.0)
-    weights = w / np.sqrt(np.pi)
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    # probabilists' Hermite polynomials (zero diagonal, off-diagonal sqrt(k)),
+    # and each weight is the squared first entry of its unit eigenvector.  It
+    # stays finite at any order, unlike numpy.polynomial's hermgauss, which
+    # overflows beyond ~400 nodes.  The rule is made exactly symmetric.
+    x, z, info = dstevd(np.zeros(order), np.sqrt(np.arange(1.0, order)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstevd failed (info={info})")
+    w = z[0] ** 2
+    nodes = (x - x[::-1]) / 2.0
+    weights = w + w[::-1]
+    weights /= weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return Quadrature(nodes=nodes, weights=weights, order=order)
@@ -225,6 +234,29 @@ def _pdf(x):
     return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr1(a: float) -> float:
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
+
+
+def ndtr(x):
+    """The standard normal CDF, elementwise, from math.erf and math.erfc.
+
+    Each distinct value of x is evaluated once: the sparse SE's arguments
+    have one value per distinct signal entry.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    values, inverse = np.unique(x, return_inverse=True)
+    cdf = np.array([_ndtr1(a) for a in values.tolist()], dtype=np.float64)
+    return cdf[inverse].reshape(x.shape)
+
+
 def soft_threshold_tail(mu, sigma: float, tau: float):
     """P(|mu + sigma Z| > tau)."""
     c1 = (tau - mu) / sigma
@@ -248,15 +280,16 @@ def soft_threshold_second_moment(mu, sigma: float, tau: float):
     """E[ soft_tau(mu + sigma Z)^2 ]."""
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
+    p1, p2 = ndtr(-c1), ndtr(c2)
     upper = (
-        (mu - tau) ** 2 * ndtr(-c1)
+        (mu - tau) ** 2 * p1
         + 2.0 * (mu - tau) * sigma * _pdf(c1)
-        + sigma**2 * (ndtr(-c1) + c1 * _pdf(c1))
+        + sigma**2 * (p1 + c1 * _pdf(c1))
     )
     lower = (
-        (mu + tau) ** 2 * ndtr(c2)
+        (mu + tau) ** 2 * p2
         - 2.0 * (mu + tau) * sigma * _pdf(c2)
-        + sigma**2 * (ndtr(c2) - c2 * _pdf(c2))
+        + sigma**2 * (p2 - c2 * _pdf(c2))
     )
     return upper + lower
 

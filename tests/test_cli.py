@@ -241,8 +241,13 @@ def test_requires_subcommand(capsys):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # Importing scipy.stats takes longer than the rest of the package, which
-    # needs none of it: ndtr and ndtri come from scipy.special.
+    # The package inits of scipy.stats, scipy.linalg and scipy.special, and
+    # the numpy.f2py and numpy.testing that scipy's array-API layer pulls in,
+    # take most of a CLI start's time and memory; the package needs none of
+    # them: its BLAS and LAPACK routines come from scipy's compiled modules.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    code = 'import spiked_amp.cli, sys; assert "scipy.stats" not in sys.modules'
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    absent = ["scipy.stats", "scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing"]
+    code = f"import spiked_amp.cli, sys; print([m for m in {absent} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -14,7 +14,7 @@ follows the module contract directly.
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import spiked_amp as sa
 from spiked_amp import decomp
@@ -313,6 +313,14 @@ def test_coordinate_w1_shift_oracle():
     assert decomp.coordinate_w1(exact + 0.3, 1.0) == pytest.approx(0.3, abs=1e-12)
     # variance rescaling: same sample against the scaled reference
     assert decomp.coordinate_w1(2.0 * exact, 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500, 2000])
+def test_coordinate_w1_quantiles_match_ndtri(n):
+    q = decomp._normal_quantiles(n)
+    ref = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+    np.testing.assert_allclose(q, ref, rtol=1e-14, atol=0)
+    assert decomp._normal_quantiles(n) is q and not q.flags.writeable
 
 
 def test_gaussianity_report_fields(z2_run):

@@ -7,7 +7,7 @@ and node-doubled Gauss-Hermite against the default order.
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 import spiked_amp as sa
 from spiked_amp import se
@@ -32,11 +32,49 @@ def test_quadrature_node_count_and_cache():
 
 
 def test_large_order_supported():
-    # Orders past ~400 overflow in the numpy polynomial route; the scipy
-    # recurrence stays finite and must keep working for doubling checks.
+    # Orders past ~400 overflow in numpy's hermgauss; the Golub-Welsch
+    # eigenproblem stays finite and must keep working for doubling checks.
     q2 = se.gauss_hermite(402)
     assert np.all(np.isfinite(q2.nodes)) and np.all(np.isfinite(q2.weights))
     assert se.gauss_expect(lambda z: z * z, q2) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [201, 402])
+def test_quadrature_matches_scipy_roots_hermite(order):
+    q = se.gauss_hermite(order)
+    x, w = special.roots_hermite(order)
+    np.testing.assert_allclose(q.nodes, x * np.sqrt(2.0), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(q.weights, w / np.sqrt(np.pi), rtol=0, atol=1e-15)
+    assert q.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_ndtr_matches_scipy():
+    # Out to |x| = 15 scipy's ndtr is accurate to about 1e-14 and the two
+    # agree to that; further left its erfc rounds exp(-x^2 / 2) and is off
+    # by up to x^2 eps (see test_ndtr_far_left_tail).
+    x = np.concatenate([np.linspace(-15.0, 38.0, 20001), [0.0, 1e-300, -1e-300]])
+    np.testing.assert_allclose(se.ndtr(x), special.ndtr(x), rtol=1e-14, atol=0)
+    assert se.ndtr(-np.inf) == 0.0 and se.ndtr(np.inf) == 1.0
+    assert np.isnan(se.ndtr(np.nan))
+
+
+def test_ndtr_far_left_tail():
+    # Against 40-digit values at each float64 argument, from -15 down to
+    # -37.5 (the last normal result): no further from them than scipy's ndtr.
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(-37.5, -15.0, 451)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.ncdf(a)) for a in x.tolist()])
+    ours = np.max(np.abs(se.ndtr(x) / exact - 1.0))
+    theirs = np.max(np.abs(special.ndtr(x) / exact - 1.0))
+    assert ours <= theirs
+
+
+def test_ndtr_keeps_the_shape():
+    x = np.array([[0.5, -1.0, 0.5], [2.0, 0.5, -1.0]])
+    out = se.ndtr(x)
+    assert out.shape == x.shape
+    np.testing.assert_array_equal(out, [[se.ndtr(a) for a in row] for row in x])
 
 
 def test_gauss_expect_rejects_nonfinite():
