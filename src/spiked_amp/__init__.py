@@ -68,4 +68,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

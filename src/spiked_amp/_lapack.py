@@ -1,16 +1,22 @@
 """The BLAS and LAPACK routines the package calls, bound from scipy's
-compiled f2py modules without importing the `scipy.linalg` package.
+compiled modules without importing the `scipy.linalg` package.
 
 `scipy.linalg`'s package init reaches scipy's array-API layer, which clones
 numpy's namespace and so imports `numpy.f2py` and `numpy.testing`: most of
-the time and memory of a CLI start.  The compiled modules `_fblas` and
-`_flapack` need none of that.  They are loaded here from their files, under
-their own names, so these are the very routines `scipy.linalg.blas` and
-`scipy.linalg.lapack` export, on the same BLAS and LAPACK.
+the time and memory of a CLI start.  The compiled modules need none of
+that.  They are loaded here from their files, under their own names, so
+these are the very routines `scipy.linalg.lapack` and
+`scipy.linalg.cython_blas` export, on the same BLAS and LAPACK.
+
+dsymv is taken from `cython_blas`'s C API, not from the f2py module
+`_fblas`: f2py's dsymv refuses a leading dimension larger than n and would
+copy a matrix stored with padded rows, as model.sample_wigner stores M, on
+every call.  The C routine takes the leading dimension from M's strides.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -18,7 +24,7 @@ import os
 import numpy as np
 import scipy  # the top-level package only: cheap, and it runs scipy's distributor init
 
-__all__ = ["dstevd", "dsymv", "tridiagonal_top"]
+__all__ = ["dstevd", "symv", "tridiagonal_top"]
 
 
 def _load(name: str):
@@ -33,9 +39,54 @@ def _load(name: str):
     raise ImportError(f"scipy's compiled module {name} is missing from {folder}")
 
 
-dsymv = _load("_fblas").dsymv
+def _capi(module, name: str) -> int:
+    """The address of the C function `name` that a Cython module exports."""
+    capsule = module.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return get_pointer(capsule, get_name(capsule))
+
+
+_int_p, _double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy), Fortran calling convention
+_dsymv = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _int_p, _double_p, ctypes.c_void_p, _int_p,
+                          ctypes.c_void_p, _int_p, _double_p, ctypes.c_void_p, _int_p)(
+    _capi(_load("cython_blas"), "dsymv"))
 _flapack = _load("_flapack")
 dstevd = _flapack.dstevd
+
+
+def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M y for a symmetric n x n M by BLAS dsymv, reading only M[i, j] with i <= j.
+
+    M is passed in place whenever one axis has unit stride and the other a
+    stride of at least n entries: a C-order or F-order array, or rows padded
+    to a longer stride, as model.sample_wigner stores M.  The longer stride
+    is dsymv's leading dimension, and a C-order M is its F-order transpose
+    with the triangle flag flipped.  Any other M is first copied to C order.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square 2-D matrix, got shape {M.shape}")
+    n = M.shape[0]
+    x = np.ascontiguousarray(y, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"y has shape {np.shape(y)}, M has shape {M.shape}")
+    rows, cols = M.strides
+    usable = M.dtype == np.float64 and M.flags.aligned
+    if usable and cols == 8 and rows % 8 == 0 and rows >= 8 * n:
+        uplo, lda = b"L", rows // 8
+    elif usable and rows == 8 and cols % 8 == 0 and cols >= 8 * n:
+        uplo, lda = b"U", cols // 8
+    else:
+        M = np.ascontiguousarray(M, dtype=np.float64)
+        uplo, lda = b"L", n
+    out = np.zeros(n)
+    one, zero, step = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)
+    _dsymv(uplo, ctypes.c_int(n), one, M.ctypes.data, ctypes.c_int(max(lda, 1)),
+           x.ctypes.data, step, zero, out.ctypes.data, step)
+    return out
 
 
 def tridiagonal_top(d, e) -> tuple[float, np.ndarray]:

@@ -3,8 +3,10 @@ collects, and the spectral start, a Lanczos run that gives the top eigenpair
 of M.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
-(dsymv), which reads only M's upper triangle: M is stored as its upper
-triangle, and whatever lies below the diagonal is never read.
+(`_lapack.symv`, scipy's compiled dsymv), which reads only M's upper
+triangle in place: M is stored as its upper triangle, in rows padded to
+page-aligned diagonals (model.sample_wigner), and whatever lies below the
+diagonal or in the padding is never read.
 
 A run owns nothing random and names no denoiser; the model, the denoiser's
 fit, the starting point and the step-0 convention eta_0(x_0) are all passed
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import dsymv, tridiagonal_top
+from ._lapack import symv as _symv, tridiagonal_top
 from ._rng import substream
 from .denoise import DegenerateIterateError, Denoiser, _scaled_norm
 from .model import SpikedModel, _mapped_zeros
@@ -52,18 +54,6 @@ class AmpTrajectory:
     onsager: list[float]
     eta0_of_x0: np.ndarray
     failure: tuple[int, str] | None = None
-
-
-def _symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M y for a symmetric M via BLAS dsymv, reading only M[i, j] with i <= j.
-
-    dsymv wants a Fortran-order matrix.  A C-order M is passed as its
-    F-contiguous transpose M.T with the triangle flag flipped, so the matrix
-    is never copied (f2py would copy a C-order argument on every call).
-    """
-    if M.flags.f_contiguous:
-        return dsymv(1.0, M, y)
-    return dsymv(1.0, M.T, y, lower=1)
 
 
 def amp_step(

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -493,6 +492,10 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord] | list[DecompR
     if w == 1:
         results = [_run_one(p) for p in packed]
     else:
+        # imported here: the process pool and multiprocessing cost a
+        # one-worker run about 1 MB and are only needed by a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_one, packed))
     return [row for sub in results for row in sub]
@@ -537,11 +540,36 @@ def run_scan(config: ExperimentConfig) -> list[ScanRow]:
     return rows
 
 
+def _median(vals: np.ndarray) -> np.ndarray:
+    """np.median(vals, axis=1) by np.median's own steps, bit for bit."""
+    h, odd = divmod(vals.shape[1], 2)
+    part = np.partition(vals, [h, -1] if odd else [h - 1, h, -1], axis=1)  # NaNs go last
+    med = np.mean(part[:, h - 1 + odd:h + 1], axis=1)
+    return np.where(np.isnan(part[:, -1]), part[:, -1], med)
+
+
+def _quantile(vals: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(vals, q, axis=1) ("linear") by np.quantile's own steps, bit for bit."""
+    n = vals.shape[1]
+    at = (n - 1) * q
+    lo = int(at) if at < n - 1 else -1  # floor, as at >= 0
+    hi = lo + 1 if lo >= 0 else -1
+    gamma = at - lo
+    part = np.partition(vals, sorted({0, -1, lo, hi}), axis=1)  # NaNs go last
+    a, b = part[:, lo], part[:, hi]
+    diff = b - a
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    return np.where(np.isnan(part[:, -1]), part[:, -1], out)
+
+
 def aggregate(records: list[TrialRecord]) -> list[SummaryRow]:
     """Per (t, metric) median, mean, and 10/90 quantiles, sorted.
 
     Groups of equal size are stacked into one 2-D array and reduced along
     its rows, so a run costs four reductions per group size, not per group.
+    The median and the quantiles repeat numpy's own steps bit for bit:
+    np.median's NaN check and np.quantile's np.unique import numpy.ma,
+    which a run would otherwise load for them alone.
     """
     if not records:
         raise ValueError("no records to aggregate")
@@ -554,8 +582,8 @@ def aggregate(records: list[TrialRecord]) -> list[SummaryRow]:
     stats = {}
     for keys in by_size.values():
         vals = np.array([groups[key] for key in keys])
-        columns = (np.median(vals, axis=1), np.mean(vals, axis=1),
-                   np.quantile(vals, 0.10, axis=1), np.quantile(vals, 0.90, axis=1))
+        columns = (_median(vals), np.mean(vals, axis=1),
+                   _quantile(vals, 0.10), _quantile(vals, 0.90))
         for key, row in zip(keys, zip(*columns)):
             stats[key] = row
     return [SummaryRow(t, name, *map(float, stats[(t, name)]), len(groups[(t, name)]))

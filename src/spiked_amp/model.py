@@ -3,12 +3,16 @@
 A model holds one n x n array, of which only the upper triangle (i <= j) is
 written: every product with M reads that triangle alone, and the entries
 below the diagonal are zero and never read.  sample_wigner writes the
-triangle into a buffer backed by an anonymous map, so the pages that would
-hold only lower entries are never committed, and the spike is added into
-that buffer a few rows at a time through one reused buffer, so building a
-model never holds a second n x n temporary.  principal_block gathers a
-principal block into the map of the M it is given, so taking a block does
-not hold a second map either.
+triangle into an anonymous map whose rows lie ld = 512 k - 1 >= n entries
+apart, so that every diagonal entry starts a 4 KB page: row i's upper part
+commits ceil((n - i) / 512) pages, and the pages that would hold only lower
+entries or padding are never committed.  The normals go straight into
+their rows, and the spike is added a few rows at a time through one reused
+buffer, so building a model never holds a second n x n temporary.
+principal_block gathers a principal block into the map of the M it is
+given, rows padded the same way, so taking a block does not hold a second
+map either.  The BLAS matvec reads M in place, with ld as its leading
+dimension (_lapack.symv).
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ __all__ = [
 
 _SIGNAL_KINDS = ("z2", "sparse-dirac")
 
-# rows of normals drawn at once into the reused panel of sample_wigner
-_PANEL_ROWS = 32
 # rows of the outer product lam v v^T held at once while adding the spike
 _SPIKE_ROWS = 8
 
@@ -41,8 +43,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
-    """A zero float64 (rows, cols) array backed by a private anonymous map.
+def _anonymous_map(size: int) -> mmap.mmap:
+    """A zero private anonymous map of `size` bytes, or 8 if `size` is less.
 
     A page is committed only when it is first written.  Huge pages are
     declined, so a page is 4 KB and an unwritten stretch of a row costs
@@ -50,12 +52,34 @@ def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
     frees the pages of a private map, where on a shared one it would only
     drop them from this process's resident set.
     """
-    size = max(rows * cols, 1) * 8  # a map cannot be empty
+    size = max(size, 8)  # a map cannot be empty
     buf = (mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) if hasattr(mmap, "MAP_PRIVATE")
            else mmap.mmap(-1, size))
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.ndarray((rows, cols), dtype=np.float64, buffer=buf)
+    return buf
+
+
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zero C-order float64 (rows, cols) array backed by an anonymous map."""
+    return np.ndarray((rows, cols), dtype=np.float64, buffer=_anonymous_map(rows * cols * 8))
+
+
+def _row_stride(n: int) -> int:
+    """The least row stride ld >= n, in entries, with ld + 1 a whole number
+    of pages, so that entry (i, i) of a matrix with rows ld apart sits at
+    byte 8 i (ld + 1) of its map, at the start of a page."""
+    per_page = mmap.PAGESIZE // 8
+    return per_page * (n // per_page + 1) - 1
+
+
+def _mapped_triangle(n: int) -> np.ndarray:
+    """A zero float64 (n, n) array backed by an anonymous map, its rows
+    _row_stride(n) entries apart, so every diagonal entry starts a page and
+    writing row i's upper part commits ceil(8 (n - i) / PAGESIZE) pages."""
+    ld = _row_stride(n)
+    return np.ndarray((n, n), dtype=np.float64, buffer=_anonymous_map(n * ld * 8),
+                      strides=(8 * ld, 8))
 
 
 @dataclass(frozen=True)
@@ -79,8 +103,10 @@ def sample_wigner(n: int, seed: int) -> np.ndarray:
     Off-diagonal entries are N(0, 1/n), diagonal entries N(0, 2/n), all
     independent up to symmetry.  The result holds W[i, j] for i <= j; the
     entries below the diagonal are zero, and W[j, i] is W[i, j].  The
-    buffer is an anonymous map, so pages holding only lower entries are
-    never committed: about 4 n^2 bytes are resident, not 8 n^2.
+    buffer is an anonymous map with rows _row_stride(n) entries apart, so
+    each diagonal entry starts a page and pages holding only lower entries
+    or padding are never committed: about 4 n^2 + 2048 n bytes are
+    resident, not 8 n^2.
 
     Parameters
     ----------
@@ -92,18 +118,19 @@ def sample_wigner(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = substream(seed, "wigner")
-    w = _mapped_zeros(n, n)
-    # the row-major stream of an n x n draw, a few rows at a time; row i
-    # keeps its entries from the diagonal on
+    w = _mapped_triangle(n)
+    # the row-major stream of an n x n draw: row i's first i normals lie
+    # below the diagonal and go to a scratch row, the rest straight into w
     scale = np.sqrt(n)
-    panel = np.empty((min(_PANEL_ROWS, n), n))
-    for b in range(0, n, _PANEL_ROWS):
-        rows = panel[:min(_PANEL_ROWS, n - b)]
-        rng.standard_normal(out=rows)
-        rows /= scale
-        for i, row in enumerate(rows, start=b):
-            w[i, i:] = row[i:]
-    w[np.diag_indices(n)] = rng.standard_normal(n) * np.sqrt(2.0 / n)
+    scratch = np.empty(n)
+    for i in range(n):
+        rng.standard_normal(out=scratch[:i])
+        row = w[i, i:]
+        rng.standard_normal(out=row)
+        row /= scale
+    diagonal = rng.standard_normal(out=scratch)
+    diagonal *= np.sqrt(2.0 / n)
+    np.einsum("ii->i", w)[:] = diagonal
     return w
 
 
@@ -136,8 +163,9 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     `noise` holds the upper triangle of a symmetric matrix, as sample_wigner
     returns; the spike is added to the entries (i, j) with i <= j and the
     entries below the diagonal are left as they are.  The caller gives
-    `noise` up, so it must be a writeable, C-contiguous float64 array owning
-    its data or backed directly by a map, not a view of another array.
+    `noise` up, so it must be a writeable float64 array, C-contiguous along
+    its rows with rows at least n entries apart, owning its data or backed
+    directly by a map, not a view of another array.
     lam must be finite.  v_star is copied; its all-zero 8-row blocks add
     nothing and are skipped.
     """
@@ -148,7 +176,8 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     if noise.shape != (n, n):
         raise ValueError(f"noise shape {noise.shape} does not match n={n}")
     needs = {"float64": noise.dtype == np.float64, "writeable": noise.flags.writeable,
-             "C-contiguous": noise.flags.c_contiguous,
+             "C-contiguous along its rows, with rows at least n entries apart":
+                 noise.strides[1] == 8 and noise.strides[0] >= 8 * n,
              "an array owning its data": (noise.flags.owndata
                                           or isinstance(noise.base, mmap.mmap))}
     for prop, ok in needs.items():
@@ -182,22 +211,26 @@ def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The upper triangle of M[index, index], gathered into M's own map.
 
     M holds the upper triangle of a symmetric matrix, as make_spiked's
-    `observed` does, and must be a square, C-contiguous float64 array backed
-    directly by a map of its own size, as sample_wigner returns.  M is
-    given up: block row a is written at offset a * m of M's map, with
-    zeros below its diagonal, and the pages past the block's m * m entries
-    are returned to the OS, so M must not be read afterwards.  The map is
-    written through an alias, so M's read-only flag is never changed.
+    `observed` does, and must be a square float64 array laid out as
+    sample_wigner lays it out: backed directly by a map, from the map's
+    start, with C-contiguous rows _row_stride(n) entries apart.  M is given
+    up: block row a is written at offset a * ld_m of M's map, ld_m =
+    _row_stride(m), with zeros below its diagonal, and the pages past the
+    block's m * ld_m entries are returned to the OS, so M must not be read
+    afterwards.  The map is written through an alias, so M's read-only flag
+    is never changed.
 
     index must be a one-dimensional integer array, strictly increasing and
     within [0, n), so that the block's entries (a, b) with a <= b lie in
     M's upper triangle.  The result is the (m, m) block, read-only, as a
-    view of the same map.
+    view of the same map, its rows ld_m entries apart.
     """
+    ld = _row_stride(M.shape[0] if M.ndim == 2 else 0)
     needs = {"square": M.ndim == 2 and M.shape[0] == M.shape[1],
-             "float64": M.dtype == np.float64, "C-contiguous": M.flags.c_contiguous,
-             "backed directly by a map": (isinstance(M.base, mmap.mmap)
-                                          and len(M.base) == M.nbytes)}
+             "float64": M.dtype == np.float64,
+             "backed directly by a map": (isinstance(M.base, mmap.mmap) and M.ctypes.data
+                                          == np.frombuffer(M.base, np.uint8).ctypes.data),
+             f"C-contiguous in rows {ld} entries apart": M.strides == (8 * ld, 8)}
     for prop, ok in needs.items():
         if not ok:
             raise ValueError(f"M must be {prop}: principal_block gathers the block into M's map")
@@ -215,18 +248,20 @@ def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     if prop is not None:
         raise ValueError(f"index must be {prop}: principal_block reads M's upper triangle")
     buf = M.base
-    B = np.ndarray((m, m), dtype=np.float64, buffer=buf)  # a writeable alias
-    # Block row a ends at entry (a+1) m <= (a+1) n <= index[a+1] n of the
-    # map, where source row index[a+1] begins, so no write lands on an
-    # entry still to be read.  Block row a may overlap its own source row,
-    # hence the scratch row; its entries left of a are zero, and one more
-    # is zeroed after each row.
+    ld_m = _row_stride(m)
+    B = np.ndarray((m, m), dtype=np.float64, buffer=buf, strides=(8 * ld_m, 8))  # a writeable alias
+    # Block row a ends before entry a ld_m + m <= (a+1) ld_m <= (a+1) ld <=
+    # index[a+1] ld of the map, where source row index[a+1] begins (ld_m >= m,
+    # and ld_m <= ld as m <= n), so no write lands on an entry still to be
+    # read.  Block row a may overlap its own source row, hence the scratch
+    # row; its entries left of a are zero, and one more is zeroed after each
+    # row.
     row = np.zeros(m)
     for a, i in enumerate(index):
         row[a:] = M[i, index[a:]]
         B[a] = row
         row[a] = 0.0
-    start = -(-B.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    start = -(-8 * m * ld_m // mmap.PAGESIZE) * mmap.PAGESIZE
     if hasattr(mmap, "MADV_DONTNEED") and start < len(buf):
         buf.madvise(mmap.MADV_DONTNEED, start)
     return _freeze(B)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spiked_amp as sa
-from spiked_amp import amp, denoise
+from spiked_amp import _lapack, amp, denoise
 from spiked_amp._rng import substream
 
 from conftest import dense
@@ -242,29 +242,31 @@ def test_spectral_init_returns_an_invariant_space_exactly(diag, seed, steps):
 
 
 def test_symv_matches_matmul_without_copying_M(monkeypatch):
-    # C order, F order and a split complement block, each holding its upper
-    # triangle; dsymv must get an F-contiguous view of the caller's M, never
-    # a copy
+    # the padded triangle, C order, F order and a split complement block,
+    # each holding its upper triangle; dsymv must get the address of the
+    # caller's M with M's own row or column stride as its leading
+    # dimension, never a copy
     model = _z2_model(300, 1.5, 4)
     M = model.observed
     Ic = np.sort(np.random.default_rng(1).choice(300, size=170, replace=False))
     received = []
-    dsymv = amp.dsymv
+    dsymv = _lapack._dsymv
 
-    def recording(alpha, a, x, **kw):
-        received.append(a)
-        return dsymv(alpha, a, x, **kw)
+    def recording(uplo, n, alpha, a, lda, *rest):
+        received.append((a, lda.value))
+        return dsymv(uplo, n, alpha, a, lda, *rest)
 
-    monkeypatch.setattr(amp, "dsymv", recording)
+    monkeypatch.setattr(_lapack, "_dsymv", recording)
     rng = np.random.default_rng(2)
     # the block gives its M up, so it comes from a second build of the model
     block = sa.principal_block(_z2_model(300, 1.5, 4).observed, Ic)
-    for A in (M, np.asfortranarray(M), block):
+    assert M.strides[0] // 8 == 511 and block.strides[0] // 8 == 511
+    for A in (M, np.ascontiguousarray(M), np.asfortranarray(M), block):
         received.clear()
         y = rng.standard_normal(A.shape[0])
         got = amp._symv(A, y)
-        (a,) = received
-        assert a.flags.f_contiguous and np.shares_memory(a, A)
+        ((a, lda),) = received
+        assert a == A.ctypes.data and lda == max(A.strides) // 8
         full = dense(A)
         bound = 1e-13 * np.linalg.norm(full) * np.linalg.norm(y)
         assert np.max(np.abs(got - full @ y)) <= bound

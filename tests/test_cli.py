@@ -240,14 +240,33 @@ def test_requires_subcommand(capsys):
         cli.main([])
 
 
+def _fresh_modules(code: str, absent: list[str]) -> list[str]:
+    """The modules of `absent` loaded after running `code` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "SPIKED_AMP_WORKERS": "1"}
+    code = f"{code}\nimport json, sys; print(json.dumps([m for m in {absent} if m in sys.modules]))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # The package inits of scipy.stats, scipy.linalg and scipy.special, and
     # the numpy.f2py and numpy.testing that scipy's array-API layer pulls in,
     # take most of a CLI start's time and memory; the package needs none of
     # them: its BLAS and LAPACK routines come from scipy's compiled modules.
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    absent = ["scipy.stats", "scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing"]
-    code = f"import spiked_amp.cli, sys; print([m for m in {absent} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # The process pool is imported only by a run with more than one worker.
+    absent = ["scipy.stats", "scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing",
+              "concurrent.futures.process", "multiprocessing"]
+    assert _fresh_modules("import spiked_amp.cli", absent) == []
+
+
+def test_cli_run_leaves_out_numpy_ma(tmp_path):
+    # the summary's median and quantiles repeat np.median's and
+    # np.quantile's steps without the calls, which import numpy.ma; one
+    # worker needs no process pool either
+    out = str(tmp_path / "z2.csv")
+    code = f"from spiked_amp import cli; cli.main({[*Z2_ARGS, '--out', out]!r})"
+    absent = ["numpy.ma", "concurrent.futures.process", "multiprocessing"]
+    assert _fresh_modules(code, absent) == []
+    assert Path(out).read_text().startswith("trial_id,t,metric_name,value")

@@ -538,6 +538,23 @@ def test_aggregate_stacked_groups_match_per_group_formula():
     assert aggregate(rows) == want
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 20, 41])
+def test_summary_statistics_are_numpys_bit_for_bit(size):
+    # np.median's and np.quantile's own steps, signed zeros and NaN
+    # payloads included, on groups that mix zeros of both signs, ties,
+    # infinities of one sign and NaNs with scaled normals
+    rng = np.random.default_rng(size)
+    special = rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, np.nan], size=(60, size))
+    normal = rng.standard_normal((60, size)) * 10.0 ** rng.integers(-300, 300, size=(60, 1))
+    vals = np.where(rng.random((60, size)) < 0.5, special, normal)
+    with np.errstate(invalid="ignore"):  # inf - inf, as numpy's own steps do
+        pairs = [(harness._median(vals), np.median(vals, axis=1)),
+                 (harness._quantile(vals, 0.10), np.quantile(vals, 0.10, axis=1)),
+                 (harness._quantile(vals, 0.90), np.quantile(vals, 0.90, axis=1))]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 

@@ -1,12 +1,13 @@
 """The BLAS/LAPACK bindings against scipy.linalg's own wrappers, bit for bit."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import blas, eigh_tridiagonal
 
-from spiked_amp import _lapack
+from spiked_amp import _lapack, model
 
 
 def test_dsymv_is_scipys_bit_for_bit():
@@ -14,9 +15,61 @@ def test_dsymv_is_scipys_bit_for_bit():
     M = np.triu(rng.standard_normal((60, 60)))
     y = rng.standard_normal(60)
     F = np.asfortranarray(M)
-    assert np.array_equal(_lapack.dsymv(1.0, F, y), blas.dsymv(1.0, F, y))
+    assert np.array_equal(_lapack.symv(F, y), blas.dsymv(1.0, F, y))
     # a C-order upper triangle is the F-order lower triangle of its transpose
-    assert np.array_equal(_lapack.dsymv(1.0, M.T, y, lower=1), blas.dsymv(1.0, M.T, y, lower=1))
+    assert np.array_equal(_lapack.symv(M, y), blas.dsymv(1.0, M.T, y, lower=1))
+    # a matrix with no unit stride is copied, as f2py copies it
+    wide = np.zeros((60, 120))
+    wide[:, ::2] = M
+    assert np.array_equal(_lapack.symv(wide[:, ::2], y), blas.dsymv(1.0, M.T, y, lower=1))
+
+
+def _padded(U, order):
+    """U in rows (order "C") or columns (order "F") _row_stride(n) entries apart."""
+    P = model._mapped_triangle(U.shape[0])
+    if order == "F":
+        P = P.T
+    P[...] = U
+    return P
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 7, 511, 512, 513, 1000])
+def test_symv_on_padded_rows_is_scipys_bit_for_bit(n, order):
+    # the leading dimension dsymv reads from the strides changes no bit
+    rng = np.random.default_rng(n)
+    U = np.triu(rng.standard_normal((n, n)))
+    y = rng.standard_normal(n)
+    P = _padded(U, order)
+    assert max(P.strides) // 8 == model._row_stride(n) >= n
+    if order == "F":
+        want = blas.dsymv(1.0, np.asfortranarray(U), y)
+    else:
+        want = blas.dsymv(1.0, np.ascontiguousarray(U).T, y, lower=1)
+    assert np.array_equal(_lapack.symv(P, y), want)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symv_never_copies_M(order):
+    # beyond its n-entry result, symv allocates less than one row of M
+    n = 1000
+    P = _padded(np.triu(np.random.default_rng(3).standard_normal((n, n))), order)
+    y = np.ones(n)
+    _lapack.symv(P, y)  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = _lapack.symv(P, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 8 * n
+
+
+@pytest.mark.parametrize("M, y", [(np.eye(3), np.ones(2)), (np.ones((3, 2)), np.ones(3)),
+                                  (np.ones(3), np.ones(3))])
+def test_symv_refuses_mismatched_shapes(M, y):
+    with pytest.raises(ValueError, match="shape"):
+        _lapack.symv(M, y)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 80])

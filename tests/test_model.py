@@ -67,8 +67,10 @@ def test_principal_block_lower_part_is_zero():
     block = sa.principal_block(M, index)
     assert np.shares_memory(block, M)
     assert np.array_equal(block, np.triu(want[np.ix_(index, index)]))
-    past = -(-block.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE // 8
-    assert not np.ndarray((n * n,), buffer=M.base)[past:].any()
+    # the block's rows lie block.strides[0] bytes apart
+    past = -(-block.strides[0] * block.shape[0] // mmap.PAGESIZE) * mmap.PAGESIZE // 8
+    assert past < len(M.base) // 8
+    assert not np.frombuffer(M.base)[past:].any()
 
 
 def _mapped(n: int, **kw) -> np.ndarray:
@@ -91,6 +93,7 @@ def _mapped(n: int, **kw) -> np.ndarray:
         (np.zeros((10, 10)), [0, 1], "M must be backed directly by a map"),
         (sa.sample_wigner(10, 1).view(), [0, 1], "M must be backed directly by a map"),
         (_mapped(10, offset=8), [0, 1], "M must be backed directly by a map"),
+        (_mapped(10), [0, 1], r"M must be C-contiguous in rows \d+ entries apart"),
     ],
 )
 def test_principal_block_refuses(M, index, message):
@@ -212,7 +215,7 @@ def test_make_spiked_keeps_noise_as_observed():
     [
         (np.zeros((10, 10)), "writeable"),                 # frozen below
         (np.zeros((10, 10), dtype=np.float32), "float64"),
-        (np.zeros((20, 20))[:10, :10], "C-contiguous"),
+        (np.zeros((10, 10), order="F"), "C-contiguous"),
         (np.zeros(100).reshape(10, 10), "an array owning its data"),
         (sa.sample_wigner(10, 1).view(), "an array owning its data"),  # view of a mapped one
     ],
@@ -281,6 +284,16 @@ def test_wigner_peak_memory_one_buffer():
     # pages below the diagonal are never committed
     n = 3000
     assert _build_rss_bytes(n, f"sa.sample_wigner({n}, 4)") <= _upper_bound_bytes(n)
+
+
+def test_wigner_commits_the_pages_of_its_upper_rows():
+    # every diagonal entry starts a page, so row i's upper part commits
+    # ceil((n - i) / 512) pages and nothing else is committed; the draw
+    # adds a scratch row and the diagonal's few rows
+    n = 3000
+    per_page = mmap.PAGESIZE // 8
+    pages = sum(-(-(n - i) // per_page) for i in range(n))
+    assert _build_rss_bytes(n, f"sa.sample_wigner({n}, 4)") <= pages * mmap.PAGESIZE + 65536
 
 
 def test_make_spiked_peak_memory_few_rows():
