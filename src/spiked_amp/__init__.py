@@ -12,7 +12,6 @@ from .amp import (
     AmpStep,
     AmpTrajectory,
     SpectralInit,
-    amp_step,
     amp_steps,
     run_amp,
     spectral_init,
@@ -63,9 +62,8 @@ from .sparse_init import (
     InitializationFailureError,
     SplitRound,
     default_split_params,
-    diag_max_init,
     sample_split_init,
     sample_split_rounds,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -61,11 +61,12 @@ dstevd = _flapack.dstevd
 def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
     """M y for a symmetric n x n M by BLAS dsymv, reading only M[i, j] with i <= j.
 
-    M is passed in place whenever one axis has unit stride and the other a
-    stride of at least n entries: a C-order or F-order array, or rows padded
-    to a longer stride, as model.sample_wigner stores M.  The longer stride
-    is dsymv's leading dimension, and a C-order M is its F-order transpose
-    with the triangle flag flipped.  Any other M is first copied to C order.
+    M is passed in place when its rows are contiguous and lie at least n
+    entries apart: a C-order array, or rows padded to a longer stride, as
+    model.sample_wigner stores M.  dsymv reads it as the column-major M^T,
+    with the row stride as its leading dimension, so M's upper triangle is
+    the lower triangle (uplo "L") it is told to read.  Any other M, an
+    F-order one included, is first copied to C order.
     """
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square 2-D matrix, got shape {M.shape}")
@@ -76,15 +77,13 @@ def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows, cols = M.strides
     usable = M.dtype == np.float64 and M.flags.aligned
     if usable and cols == 8 and rows % 8 == 0 and rows >= 8 * n:
-        uplo, lda = b"L", rows // 8
-    elif usable and rows == 8 and cols % 8 == 0 and cols >= 8 * n:
-        uplo, lda = b"U", cols // 8
+        lda = rows // 8
     else:
         M = np.ascontiguousarray(M, dtype=np.float64)
-        uplo, lda = b"L", n
+        lda = n
     out = np.zeros(n)
     one, zero, step = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)
-    _dsymv(uplo, ctypes.c_int(n), one, M.ctypes.data, ctypes.c_int(max(lda, 1)),
+    _dsymv(b"L", ctypes.c_int(n), one, M.ctypes.data, ctypes.c_int(max(lda, 1)),
            x.ctypes.data, step, zero, out.ctypes.data, step)
     return out
 

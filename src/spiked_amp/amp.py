@@ -1,6 +1,5 @@
-"""The AMP engine: single step, the step generator and the full runs it
-collects, and the spectral start, a Lanczos run that gives the top eigenpair
-of M.
+"""The AMP engine: the step generator and the full runs it collects, and
+the spectral start, a Lanczos run that gives the top eigenpair of M.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
 (`_lapack.symv`, scipy's compiled dsymv), which reads only M's upper
@@ -30,7 +29,6 @@ __all__ = [
     "AmpStep",
     "AmpTrajectory",
     "SpectralInit",
-    "amp_step",
     "amp_steps",
     "run_amp",
     "spectral_init",
@@ -54,21 +52,6 @@ class AmpTrajectory:
     onsager: list[float]
     eta0_of_x0: np.ndarray
     failure: tuple[int, str] | None = None
-
-
-def amp_step(
-    M: np.ndarray, eta_xt: np.ndarray, eta_prev: np.ndarray, onsager: float
-) -> np.ndarray:
-    """x_{t+1} = M eta_t(x_t) - <eta_t'(x_t)> eta_{t-1}(x_{t-1}).
-
-    M is stored as its upper triangle; only that triangle is read.
-    """
-    n = M.shape[0]
-    if M.shape != (n, n) or eta_xt.shape != (n,) or eta_prev.shape != (n,):
-        raise ValueError(
-            f"dimension mismatch: M {M.shape}, eta {eta_xt.shape}, prev {eta_prev.shape}"
-        )
-    return _symv(M, eta_xt) - onsager * eta_prev
 
 
 class AmpStep(NamedTuple):
@@ -99,14 +82,20 @@ def amp_steps(
     fit(x_t) runs once per step, on the x the step yields, and the step
     calls the returned denoiser's eta(x_t) and onsager(x_t) once each; a
     degenerate fit is yielded as that step's `failure` and ends the run.
-    Arguments are those of run_amp, and T < 1 raises ValueError at the first
-    step.  model.observed is stored as its upper triangle; only that is read.
+    Arguments are those of run_amp.  T < 1, or an x1 or eta0_of_x0 not of
+    shape (n,), raises ValueError at the first step, before any fit.
+    x_{t+1} = M eta_t - <eta_t'> eta_{t-1}; model.observed is stored as its
+    upper triangle, and only that is read.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     M = model.observed
     x = np.asarray(x1, dtype=np.float64)
     eta_prev = np.asarray(eta0_of_x0, dtype=np.float64)
+    n = M.shape[0]
+    if x.shape != (n,) or eta_prev.shape != (n,):
+        raise ValueError(f"x1 has shape {x.shape} and eta0_of_x0 {eta_prev.shape}, "
+                         f"M has shape {M.shape}")
     for t in range(1, T + 1):
         try:
             state = fit(x)
@@ -117,7 +106,7 @@ def amp_steps(
         ons = state.onsager(x)
         yield AmpStep(t, x, state, eta, ons)
         if t < T:
-            x = amp_step(M, eta, eta_prev, ons)
+            x = _symv(M, eta) - ons * eta_prev
             eta_prev = eta
 
 

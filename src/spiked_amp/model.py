@@ -94,7 +94,6 @@ class SpikedModel:
     lam: float
     v_star: np.ndarray
     observed: np.ndarray
-    sparsity: int | None = None
 
 
 def sample_wigner(n: int, seed: int) -> np.ndarray:
@@ -197,14 +196,7 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
         rows *= lam
         for i, row in enumerate(rows, start=b):
             noise[i, i:] += row[i:]
-    sparsity = int(np.count_nonzero(v_star))
-    return SpikedModel(
-        n=n,
-        lam=float(lam),
-        v_star=_freeze(v_star),
-        observed=_freeze(noise),
-        sparsity=sparsity if sparsity < n else None,
-    )
+    return SpikedModel(n=n, lam=float(lam), v_star=_freeze(v_star), observed=_freeze(noise))
 
 
 def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:

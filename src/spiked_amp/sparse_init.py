@@ -1,14 +1,12 @@
-"""Data-driven initializations for the sparse spike.
+"""The data-driven initialization for the sparse spike.
 
-Two entry points: diag_max_init picks the single coordinate with the largest
-diagonal magnitude (strong-SNR regime), and sample_split_init runs the
-N-round random-split procedure (weak-SNR regime): estimate the spike on a
-random index block, propagate through the cross block, soft-threshold, and
-keep the round whose candidate scores highest on the complement block.  The
-estimate is the top eigenvector of the block's 2 k_hint largest diagonal
-entries: spectral_init on that block, started from round j's own seed
-derive_seed(seed, "split-oracle", j) and signed so that its entry at the
-block's largest |diagonal| is nonnegative.
+sample_split_init runs the N-round random-split procedure (weak-SNR regime):
+estimate the spike on a random index block, propagate through the cross
+block, soft-threshold, and keep the round whose candidate scores highest on
+the complement block.  The estimate is the top eigenvector of the block's
+2 k_hint largest diagonal entries: spectral_init on that block, started
+from round j's own seed derive_seed(seed, "split-oracle", j) and signed so
+that its entry at the block's largest |diagonal| is nonnegative.
 
 The split rounds read the matrix only through _read_block, which reads each
 entry from M's upper triangle and logs a tag for each phase of access in the
@@ -31,14 +29,13 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .amp import spectral_init
-from .denoise import soft_threshold
+from .denoise import default_tau, soft_threshold
 from .model import SpikedModel
 
 __all__ = [
     "InitializationFailureError",
     "SplitRound",
     "default_split_params",
-    "diag_max_init",
     "sample_split_init",
     "sample_split_rounds",
 ]
@@ -46,19 +43,6 @@ __all__ = [
 
 class InitializationFailureError(RuntimeError):
     """Every split round was skipped; no usable starting vector."""
-
-
-def diag_max_init(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """Index of the largest |M_ii| and the corresponding basis vector.
-
-    Ties break toward the smaller index (argmax's first-hit rule).
-    """
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError("M must be a nonempty square matrix")
-    s_hat = int(np.argmax(np.abs(np.diagonal(M))))
-    x1 = np.zeros(M.shape[0])
-    x1[s_hat] = 1.0
-    return s_hat, x1
 
 
 def _oracle_selection(d: np.ndarray, k_hint: int) -> np.ndarray:
@@ -108,7 +92,7 @@ def default_split_params(n: int, k: int) -> tuple[float, int, float]:
     """(p, N, tau1) at the reference operating point for sparsity k."""
     p = min(4.0 * np.log(n) / k, 0.9)
     N = int(np.ceil(np.log(n)))
-    tau1 = 2.0 * np.sqrt(np.log(n) / n)
+    tau1 = default_tau(n)
     return p, N, tau1
 
 
@@ -148,7 +132,9 @@ def sample_split_rounds(
 
     A round is skipped when its partition leaves either block empty or when
     the soft-threshold wipes the propagated vector to zero; skipped rounds
-    carry score -inf so the argmax never picks them.
+    carry score -inf so the argmax never picks them.  k_hint defaults to
+    max(1, round(k p)) with k the support size of model.v_star, so a model
+    with a dense signal uses k = n.
     """
     n = model.n
     if not 0.0 < p < 1.0:
@@ -160,8 +146,7 @@ def sample_split_rounds(
     if tau1 <= 0:
         raise ValueError("tau1 must be positive")
     if k_hint is None:
-        k = model.sparsity if model.sparsity is not None else n
-        k_hint = max(1, round(k * p))
+        k_hint = max(1, round(np.count_nonzero(model.v_star) * p))
     if k_hint < 1:
         raise ValueError(f"k_hint must be at least 1, got {k_hint}")
     rounds: list[SplitRound] = []

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import spiked_amp as sa
 from spiked_amp import _lapack, amp, denoise
 from spiked_amp._rng import substream
+from spiked_amp.model import SpikedModel
 
 from conftest import dense
 
@@ -18,20 +20,44 @@ def _z2_model(n, lam, seed):
     return sa.make_spiked(lam, v, sa.sample_wigner(n, seed))
 
 
+# the identity denoiser with onsager 0.25: the step's eta is its x
+_FIXED = SimpleNamespace(eta=lambda x: x, onsager=lambda x: 0.25)
+
+
+def _upper_model(M):
+    """A SpikedModel holding the upper triangle of M, as make_spiked stores it."""
+    return SpikedModel(M.shape[0], 0.0, np.zeros(M.shape[0]), np.triu(M))
+
+
 def test_amp_step_hand_computed():
-    M = np.array([[2.0, 1.0], [1.0, 0.0]])
+    # x_2 = M eta_1 - 0.25 eta_0, with eta_1 = x_1
+    model = _upper_model(np.array([[2.0, 1.0], [1.0, 0.0]]))
     eta = np.array([1.0, -1.0])
     prev = np.array([0.5, 0.5])
-    out = amp.amp_step(M, eta, prev, onsager=0.25)
-    np.testing.assert_allclose(out, [1.0 - 0.125, 1.0 - 0.125])
+    _, second = sa.amp_steps(model, lambda x: _FIXED, eta, prev, 2)
+    np.testing.assert_allclose(second.x, [1.0 - 0.125, 1.0 - 0.125])
 
 
 def test_amp_step_shape_checks():
-    M = np.eye(3)
     with pytest.raises(ValueError):
-        amp.amp_step(M, np.ones(2), np.ones(3), 0.1)
+        list(sa.amp_steps(_upper_model(np.eye(2)), lambda x: _FIXED, np.ones(2), np.ones(3), 2))
+    model = SpikedModel(3, 0.0, np.zeros(3), np.ones((3, 2)))
     with pytest.raises(ValueError):
-        amp.amp_step(np.ones((3, 2)), np.ones(2), np.ones(2), 0.1)
+        list(sa.amp_steps(model, lambda x: _FIXED, np.ones(3), np.ones(3), 2))
+
+
+@pytest.mark.parametrize("x1, eta0", [(np.ones(3), np.ones(4)), (np.ones(4), np.ones(1)),
+                                      (np.ones(4), np.float64(1.0)), (np.ones((4, 1)), np.ones(4))],
+                         ids=["short-x1", "eta0-of-one", "scalar-eta0", "column-x1"])
+def test_amp_steps_refuses_a_misshapen_start_before_any_fit(x1, eta0):
+    # even a T = 1 run, which takes no matvec, names both shapes
+    fits = []
+    steps = sa.amp_steps(_upper_model(np.eye(4)), lambda x: fits.append(x) or _FIXED, x1,
+                         eta0, 1)
+    want = f"x1 has shape {np.shape(x1)} and eta0_of_x0 {np.shape(eta0)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        next(steps)
+    assert fits == []
 
 
 def test_trajectory_recurrence_invariant(z2_run):
@@ -242,10 +268,10 @@ def test_spectral_init_returns_an_invariant_space_exactly(diag, seed, steps):
 
 
 def test_symv_matches_matmul_without_copying_M(monkeypatch):
-    # the padded triangle, C order, F order and a split complement block,
-    # each holding its upper triangle; dsymv must get the address of the
-    # caller's M with M's own row or column stride as its leading
-    # dimension, never a copy
+    # the padded triangle, C order and a split complement block, each
+    # holding its upper triangle; dsymv must get the address of the
+    # caller's M with M's own row stride as its leading dimension, never a
+    # copy
     model = _z2_model(300, 1.5, 4)
     M = model.observed
     Ic = np.sort(np.random.default_rng(1).choice(300, size=170, replace=False))
@@ -261,12 +287,12 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
     # the block gives its M up, so it comes from a second build of the model
     block = sa.principal_block(_z2_model(300, 1.5, 4).observed, Ic)
     assert M.strides[0] // 8 == 511 and block.strides[0] // 8 == 511
-    for A in (M, np.ascontiguousarray(M), np.asfortranarray(M), block):
+    for A in (M, np.ascontiguousarray(M), block):
         received.clear()
         y = rng.standard_normal(A.shape[0])
         got = amp._symv(A, y)
         ((a, lda),) = received
-        assert a == A.ctypes.data and lda == max(A.strides) // 8
+        assert a == A.ctypes.data and lda == A.strides[0] // 8
         full = dense(A)
         bound = 1e-13 * np.linalg.norm(full) * np.linalg.norm(y)
         assert np.max(np.abs(got - full @ y)) <= bound

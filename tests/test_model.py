@@ -187,7 +187,6 @@ def test_make_spiked_assembles_exactly():
     m = sa.make_spiked(1.3, v, W)
     np.testing.assert_array_equal(m.observed, want)
     assert m.n == 40 and m.lam == 1.3
-    assert m.sparsity is None  # dense signal
 
 
 def test_assemble_adds_spike_in_place_bitwise():
@@ -324,12 +323,6 @@ def test_split_block_peak_memory_in_place():
              f'sa.sample_split_init(m, *sa.default_split_params(n, {k}), 7).complement)')
     sparse = {"experiment": "SparsePipeline", "k": k, "lambda": 3.0}
     assert _build_rss_bytes(n, build, sparse) <= _upper_bound_bytes(n)
-
-
-def test_make_spiked_sparsity_count():
-    v = sa.make_signal(kind="sparse-dirac", n=40, k=5, seed=8)
-    m = sa.make_spiked(2.0, v, np.zeros((40, 40)))
-    assert m.sparsity == 5
 
 
 def test_make_spiked_rejects_nonunit():

@@ -1,4 +1,4 @@
-"""Sparse initializers: diagonal argmax, restricted oracle, sample split.
+"""The sparse initializer: restricted oracle, sample split.
 
 The split procedure's audit log is load-bearing: scores may only be read
 from the complement block after the candidate is built, so the events
@@ -7,8 +7,6 @@ tuple doubles as a no-peeking proof per round.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import spiked_amp as sa
 from spiked_amp import sparse_init
@@ -17,47 +15,6 @@ from spiked_amp.denoise import soft_threshold
 from spiked_amp.model import SpikedModel
 
 from conftest import dense
-
-
-def _sym_from(diag, off, n):
-    A = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    A[iu] = off
-    A = A + A.T
-    A[np.diag_indices(n)] = diag
-    return A
-
-
-# ---------------------------------------------------------------------------
-# diagonal argmax
-
-
-def test_diag_max_worked_example():
-    M = _sym_from([1.0, -5.0, 2.0], [0.3, -9.0, 0.7], 3)
-    idx, e = sparse_init.diag_max_init(M)
-    assert idx == 1
-    np.testing.assert_array_equal(e, [0.0, 1.0, 0.0])
-
-
-def test_diag_max_tie_takes_first():
-    M = np.diag([3.0, -3.0])
-    idx, _ = sparse_init.diag_max_init(M)
-    assert idx == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    diag=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=6),
-    seed=st.integers(0, 2**20),
-)
-def test_diag_max_ignores_off_diagonal(diag, seed):
-    n = len(diag)
-    rng = np.random.default_rng(seed)
-    off1 = rng.normal(size=n * (n - 1) // 2)
-    off2 = 100.0 * rng.normal(size=n * (n - 1) // 2)
-    i1, _ = sparse_init.diag_max_init(_sym_from(diag, off1, n))
-    i2, _ = sparse_init.diag_max_init(_sym_from(diag, off2, n))
-    assert i1 == i2 == int(np.argmax(np.abs(diag)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +220,7 @@ def test_noiseless_candidate_formula():
 def test_support_mass_matches_bernoulli_split(split_model):
     # ||v_Ic||^2 concentrates at 1 - p with variance p(1-p)/k
     v = split_model.v_star
-    k = split_model.sparsity
+    k = np.count_nonzero(v)
     p = 0.3
     sigma = np.sqrt(p * (1 - p) / k)
     rounds = sparse_init.sample_split_rounds(split_model, p=p, N=6, tau1=0.2, seed=21)
@@ -322,7 +279,7 @@ def test_k_hint_default(split_model, monkeypatch):
 
     monkeypatch.setattr(sparse_init, "_oracle_selection", spy)
     sparse_init.sample_split_rounds(split_model, p=0.3, N=2, tau1=0.2, seed=5)
-    want = max(1, round(split_model.sparsity * 0.3))
+    want = max(1, round(np.count_nonzero(split_model.v_star) * 0.3))
     assert seen == [want, want]
 
 
@@ -410,7 +367,7 @@ def test_split_round_read_budget(split_model, monkeypatch):
     # each live round gathers at most diag(M)[I], the (2 k_hint)^2 oracle
     # block, the |Ic| x 2 k_hint propagation block and the |S|^2 score block
     model = SpikedModel(split_model.n, split_model.lam, split_model.v_star,
-                        split_model.observed.view(_CountingMatrix), split_model.sparsity)
+                        split_model.observed.view(_CountingMatrix))
     k_hint = 6
     live = 0
     for seed in range(6):
