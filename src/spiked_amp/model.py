@@ -11,8 +11,10 @@ their rows, and the spike is added a few rows at a time through one reused
 buffer, so building a model never holds a second n x n temporary.
 principal_block gathers a principal block into the map of the M it is
 given, rows padded the same way, so taking a block does not hold a second
-map either.  The BLAS matvec reads M in place, with ld as its leading
-dimension (_lapack.symv).
+map either; it returns M's pages past the block's end to the OS as the
+gather passes them, so the pages its rows commit below M's diagonal are
+not held on top of all of M's tail.  The BLAS matvec reads M in place,
+with ld as its leading dimension (_lapack.symv).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _SIGNAL_KINDS = ("z2", "sparse-dirac")
 
 # rows of the outer product lam v v^T held at once while adding the spike
 _SPIKE_ROWS = 8
+
+# the least stretch of dead pages principal_block returns to the OS mid-gather
+_RELEASE_BYTES = 1 << 20
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -208,9 +213,11 @@ def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     start, with C-contiguous rows _row_stride(n) entries apart.  M is given
     up: block row a is written at offset a * ld_m of M's map, ld_m =
     _row_stride(m), with zeros below its diagonal, and the pages past the
-    block's m * ld_m entries are returned to the OS, so M must not be read
-    afterwards.  The map is written through an alias, so M's read-only flag
-    is never changed.
+    block's m * ld_m entries are returned to the OS: while the gather runs,
+    each stretch of _RELEASE_BYTES or more that lies before the next source
+    row it reads, and the rest at its end.  So M must not be read
+    afterwards.  The map is written through an alias, so M's read-only
+    flag is never changed.
 
     index must be a one-dimensional integer array, strictly increasing and
     within [0, n), so that the block's entries (a, b) with a <= b lie in
@@ -242,18 +249,27 @@ def principal_block(M: np.ndarray, index: np.ndarray) -> np.ndarray:
     buf = M.base
     ld_m = _row_stride(m)
     B = np.ndarray((m, m), dtype=np.float64, buffer=buf, strides=(8 * ld_m, 8))  # a writeable alias
+    release = hasattr(mmap, "MADV_DONTNEED")
     # Block row a ends before entry a ld_m + m <= (a+1) ld_m <= (a+1) ld <=
     # index[a+1] ld of the map, where source row index[a+1] begins (ld_m >= m,
     # and ld_m <= ld as m <= n), so no write lands on an entry still to be
     # read.  Block row a may overlap its own source row, hence the scratch
     # row; its entries left of a are zero, and one more is zeroed after each
-    # row.
+    # row.  Once row a is written, the pages from `dead`, the first page past
+    # the block, up to the diagonal of source row index[a+1], where the next
+    # read starts at a page boundary, are neither read nor written again:
+    # they go back to the OS as the loop passes them, _RELEASE_BYTES or more
+    # at a time, and the rest of the map after the last row.
+    dead = -(-8 * m * ld_m // mmap.PAGESIZE) * mmap.PAGESIZE
     row = np.zeros(m)
     for a, i in enumerate(index):
         row[a:] = M[i, index[a:]]
         B[a] = row
         row[a] = 0.0
-    start = -(-8 * m * ld_m // mmap.PAGESIZE) * mmap.PAGESIZE
-    if hasattr(mmap, "MADV_DONTNEED") and start < len(buf):
-        buf.madvise(mmap.MADV_DONTNEED, start)
+        live = 8 * int(index[a + 1]) * (ld + 1) if a + 1 < m else dead
+        if release and live - dead >= _RELEASE_BYTES:
+            buf.madvise(mmap.MADV_DONTNEED, dead, live - dead)
+            dead = live
+    if release and dead < len(buf):
+        buf.madvise(mmap.MADV_DONTNEED, dead)
     return _freeze(B)

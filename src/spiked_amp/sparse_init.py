@@ -9,8 +9,9 @@ from round j's own seed derive_seed(seed, "split-oracle", j) and signed so
 that its entry at the block's largest |diagonal| is nonnegative.
 
 The split rounds read the matrix only through _read_block, which reads each
-entry from M's upper triangle and logs a tag for each phase of access in the
-round's event log, and each phase reads only the entries its output needs:
+entry from M's upper triangle, a block _READ_PANEL_ROWS rows at a time, and
+logs a tag for each phase of access in the round's event log, and each phase
+reads only the entries its output needs:
 
   read:II          diag(M)[I], then the block M[J, J] of the oracle's
                    selection J = I[sel], |J| <= 2 k_hint
@@ -39,6 +40,10 @@ __all__ = [
     "sample_split_init",
     "sample_split_rounds",
 ]
+
+
+# rows of a block that _read_block gathers at once
+_READ_PANEL_ROWS = 128
 
 
 class InitializationFailureError(RuntimeError):
@@ -79,13 +84,21 @@ def _read_block(M: np.ndarray, index: tuple, log: list[str], tag: str) -> np.nda
 
     `index` is (I, I) for the diagonal entries M[i, i], i in I, or
     np.ix_(rows, cols) for a block.  M holds its upper triangle, so entry
-    (i, j) is read at (min(i, j), max(i, j)).  The module docstring lists
+    (i, j) is read at (min(i, j), max(i, j)).  A block is gathered into its
+    result _READ_PANEL_ROWS rows at a time, so the index arrays of that
+    gather are a panel's size, not the block's.  The module docstring lists
     what each tag reads.
     """
     if not log or log[-1] != tag:
         log.append(tag)
     rows, cols = index
-    return M[np.minimum(rows, cols), np.maximum(rows, cols)]
+    if rows.ndim == 1:
+        return M[np.minimum(rows, cols), np.maximum(rows, cols)]
+    block = np.empty((rows.shape[0], cols.shape[1]), dtype=M.dtype)
+    for a in range(0, rows.shape[0], _READ_PANEL_ROWS):
+        panel = rows[a:a + _READ_PANEL_ROWS]
+        block[a:a + _READ_PANEL_ROWS] = M[np.minimum(panel, cols), np.maximum(panel, cols)]
+    return block
 
 
 def default_split_params(n: int, k: int) -> tuple[float, int, float]:

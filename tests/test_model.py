@@ -46,10 +46,21 @@ def test_package_matrices_symmetric_bitwise():
         assert np.array_equal(block, full[np.ix_(rows, cols)])
     cross = sparse_init._read_block(model.observed, np.ix_(Ic, I), [], "read")
     assert np.array_equal(cross, full[np.ix_(Ic, I)])
+    # a cross read of the rounds' own shape, M[I^c, J] for 2 k_hint columns J
+    # of I, over a complement that spans several of _read_block's row panels
+    I = np.flatnonzero(np.random.default_rng(3).random(n) < 0.1)
+    Ic = np.setdiff1d(np.arange(n), I)
+    J = I[sparse_init._oracle_selection(np.diagonal(full)[I], k)]
+    assert J.size == 2 * k and Ic.size > 2 * sparse_init._READ_PANEL_ROWS
+    cross = sparse_init._read_block(model.observed, np.ix_(Ic, J), [], "read")
+    assert np.array_equal(cross, full[np.ix_(Ic, J)])
     # the complement, all of M, one index, a block row over its own source
-    # row, and the last row; each gather gives its M up, so each takes a
-    # fresh build of the same model
-    for index in (Ic, np.arange(n), np.array([n // 2]), np.r_[0:4, 9:n:5], np.r_[2:n:7, n - 1]):
+    # row, the last row, and a block whose last rows lie far enough past its
+    # first that the pages between are released mid-gather (over 1 MB at
+    # n = 300, where each source row spans one 4 KB page); each gather gives
+    # its M up, so each takes a fresh build of the same model
+    for index in (Ic, np.arange(n), np.array([n // 2]), np.r_[0:4, 9:n:5], np.r_[2:n:7, n - 1],
+                  np.r_[0:3, n - 3:n]):
         M = sa.make_spiked(3.0, v, sa.sample_wigner(n, 3)).observed
         block = sa.principal_block(M, index)
         assert np.shares_memory(block, M)
@@ -273,13 +284,13 @@ def _build_rss_bytes(n: int, build: str, config: dict | None = None) -> int:
 
 def _upper_bound_bytes(n: int) -> float:
     # the upper triangle, 4 n^2 bytes, is within 0.6 * 8 n^2; each row adds
-    # at most one part-written 4 KB page, and the draw panel and the spike
-    # buffer a few rows each
+    # at most one part-written 4 KB page, the draw one scratch row and the
+    # spike buffer a few rows
     return 0.6 * 8 * n * n + 4096 * n + 64 * 8 * n
 
 
 def test_wigner_peak_memory_one_buffer():
-    # the normals go through a few-row panel into one mapped buffer whose
+    # the normals go through one scratch row into one mapped buffer whose
     # pages below the diagonal are never committed
     n = 3000
     assert _build_rss_bytes(n, f"sa.sample_wigner({n}, 4)") <= _upper_bound_bytes(n)
@@ -314,15 +325,36 @@ def test_harness_model_build_peak_memory():
     assert _build_rss_bytes(n, build) <= _upper_bound_bytes(n)
 
 
+_SPLIT_K = 60
+# a split trial's build: the model, its split rounds, and the complement block
+_SPLIT_BUILD = ('sa.principal_block((m := harness._build_model(config, 7, "sparse-dirac")).observed, '
+                f'sa.sample_split_init(m, *sa.default_split_params(n, {_SPLIT_K}), 7).complement)')
+_SPLIT_CONFIG = {"experiment": "SparsePipeline", "k": _SPLIT_K, "lambda": 3.0}
+
+
 def test_split_block_peak_memory_in_place():
     # the complement block is gathered into the map of the M it comes from,
     # so a split trial's build holds M's upper triangle alone, not M plus
     # a second map for the block
-    n, k = 3000, 60
-    build = ('sa.principal_block((m := harness._build_model(config, 7, "sparse-dirac")).observed, '
-             f'sa.sample_split_init(m, *sa.default_split_params(n, {k}), 7).complement)')
-    sparse = {"experiment": "SparsePipeline", "k": k, "lambda": 3.0}
-    assert _build_rss_bytes(n, build, sparse) <= _upper_bound_bytes(n)
+    n = 3000
+    assert _build_rss_bytes(n, _SPLIT_BUILD, _SPLIT_CONFIG) <= _upper_bound_bytes(n)
+
+
+def test_split_build_peak_memory_pages():
+    # beyond the triangle's own pages a split trial's build holds one cross
+    # block M[I^c, J] at a time, |I^c| < n rows by |J| <= 2 k_hint columns,
+    # and the block gather releases the pages it has passed, so its writes
+    # below the source rows' diagonals do not add to M's whole tail.  The
+    # allowance, 400 pages (1.6 MB), is the code the split path runs first
+    # (the Lanczos start's LAPACK routines, numpy's sort and gather loops)
+    # and the allocator's arenas: the same build at n = 300, whose cross
+    # block is under 0.12 MB, grows 1.46 to 1.66 MB beyond its triangle
+    n = 3000
+    k_hint = round(_SPLIT_K * sa.default_split_params(n, _SPLIT_K)[0])
+    per_page = mmap.PAGESIZE // 8
+    pages = sum(-(-(n - i) // per_page) for i in range(n))
+    bound = pages * mmap.PAGESIZE + 8 * n * 2 * k_hint + 400 * mmap.PAGESIZE
+    assert _build_rss_bytes(n, _SPLIT_BUILD, _SPLIT_CONFIG) <= bound
 
 
 def test_make_spiked_rejects_nonunit():
