@@ -1,61 +1,77 @@
-"""The BLAS and LAPACK routines the package calls, bound from scipy's
-compiled modules without importing the `scipy.linalg` package.
+"""The BLAS and LAPACK routines the package calls, bound through ctypes from
+the OpenBLAS that numpy itself links.
 
-`scipy.linalg`'s package init reaches scipy's array-API layer, which clones
-numpy's namespace and so imports `numpy.f2py` and `numpy.testing`: most of
-the time and memory of a CLI start.  The compiled modules need none of
-that.  They are loaded here from their files, under their own names, so
-these are the very routines `scipy.linalg.lapack` and
-`scipy.linalg.cython_blas` export, on the same BLAS and LAPACK.
+numpy's wheels link scipy-openblas64, an ILP64 OpenBLAS whose symbols carry
+a `scipy_` prefix and a `64_` suffix.  numpy's core extension has loaded it
+by the time numpy is imported, so the symbols are looked up through that
+extension's handle, no library path is searched, and the process holds one
+BLAS.  The routines follow the Fortran calling convention: every argument
+by reference, 64-bit integers, and one hidden length per character argument
+after the others.
 
-dsymv is taken from `cython_blas`'s C API, not from the f2py module
-`_fblas`: f2py's dsymv refuses a leading dimension larger than n and would
-copy a matrix stored with padded rows, as model.sample_wigner stores M, on
-every call.  The C routine takes the leading dimension from M's strides.
+dsymv takes the leading dimension from its caller, so M stored with padded
+rows, as model.sample_wigner stores it, is read in place on every call.
+
+A numpy whose BLAS exports none of these symbols (one built on another BLAS,
+or on Accelerate) is refused at import with an ImportError that names the
+missing symbol and numpy's BLAS.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
 
 import numpy as np
-import scipy  # the top-level package only: cheap, and it runs scipy's distributor init
 
 __all__ = ["dstevd", "symv", "tridiagonal_top"]
 
-
-def _load(name: str):
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, name + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy's compiled module {name} is missing from {folder}")
+_int = ctypes.c_int64
+_int_p, _double_p = ctypes.POINTER(_int), ctypes.POINTER(ctypes.c_double)
+_char, _ptr, _len = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+_numpy_core = ctypes.CDLL(np._core._multiarray_umath.__file__)
 
 
-def _capi(module, name: str) -> int:
-    """The address of the C function `name` that a Cython module exports."""
-    capsule = module.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    return get_pointer(capsule, get_name(capsule))
+def _bind(routine: str, *argtypes):
+    """numpy's BLAS routine `routine` as a ctypes function of `argtypes`."""
+    symbol = f"scipy_{routine}_64_"
+    try:
+        return ctypes.CFUNCTYPE(None, *argtypes)((symbol, _numpy_core))
+    except AttributeError:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        raise ImportError(f"numpy's BLAS ({blas.get('name')} {blas.get('version')}) does "
+                          f"not export {symbol}; spiked_amp needs a numpy>=2.0 wheel "
+                          "built on scipy-openblas64") from None
 
 
-_int_p, _double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy), Fortran calling convention
-_dsymv = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _int_p, _double_p, ctypes.c_void_p, _int_p,
-                          ctypes.c_void_p, _int_p, _double_p, ctypes.c_void_p, _int_p)(
-    _capi(_load("cython_blas"), "dsymv"))
-_flapack = _load("_flapack")
-dstevd = _flapack.dstevd
+# dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy)
+_dsymv = _bind("dsymv", _char, _int_p, _double_p, _ptr, _int_p, _ptr, _int_p, _double_p,
+               _ptr, _int_p, _len)
+# dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+#        isplit, work, iwork, info)
+_dstebz = _bind("dstebz", _char, _char, _int_p, _double_p, _double_p, _int_p, _int_p,
+                _double_p, _ptr, _ptr, _int_p, _int_p, _ptr, _ptr, _ptr, _ptr, _ptr, _int_p,
+                _len, _len)
+# dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info)
+_dstein = _bind("dstein", _int_p, _ptr, _ptr, _int_p, _ptr, _ptr, _ptr, _ptr, _int_p, _ptr,
+                _ptr, _ptr, _int_p)
+# dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
+_dstevd = _bind("dstevd", _char, _int_p, _ptr, _ptr, _ptr, _int_p, _ptr, _int_p, _ptr,
+                _int_p, _int_p, _len)
+_ONE, _ZERO, _STEP = ctypes.c_double(1.0), ctypes.c_double(0.0), _int(1)
+
+
+def _at(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
+def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
+    """d and e as contiguous float64 arrays, refused unless e is one shorter."""
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError(f"a tridiagonal matrix needs d of length m and e of length m - 1, "
+                         f"got shapes {d.shape} and {e.shape}")
+    return d, e
 
 
 def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -82,9 +98,8 @@ def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
         M = np.ascontiguousarray(M, dtype=np.float64)
         lda = n
     out = np.zeros(n)
-    one, zero, step = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_int(1)
-    _dsymv(b"L", ctypes.c_int(n), one, M.ctypes.data, ctypes.c_int(max(lda, 1)),
-           x.ctypes.data, step, zero, out.ctypes.data, step)
+    _dsymv(b"L", _int(n), _ONE, _at(M), _int(max(lda, 1)), _at(x), _STEP, _ZERO, _at(out),
+           _STEP, 1)
     return out
 
 
@@ -94,20 +109,47 @@ def tridiagonal_top(d, e) -> tuple[float, np.ndarray]:
 
     The same LAPACK calls as `scipy.linalg.eigh_tridiagonal(d, e,
     select="i", select_range=(m - 1, m - 1))`, m = len(d): dstebz for the
-    value, dstein for the vector.  A non-finite entry raises ValueError and
-    a nonzero LAPACK info raises numpy.linalg.LinAlgError (a ValueError).
+    value, dstein for the vector.  Mismatched lengths or a non-finite entry
+    raise ValueError and a nonzero LAPACK info raises
+    numpy.linalg.LinAlgError (a ValueError).
     """
-    d = np.asarray(d, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
+    d, e = _tridiagonal(d, e)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal matrix has a non-finite entry")
     m = d.shape[0]
     if m == 1:
         return float(d[0]), np.ones(1)
-    k, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, m, m, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
-    z, info = _flapack.dstein(d, e, w[:k], iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstein failed (info={info})")
+    n, top, k, nsplit, info = _int(m), _int(m), _int(), _int(), _int()
+    w, iblock, isplit = np.empty(m), np.empty(m, np.int64), np.empty(m, np.int64)
+    work, iwork = np.empty(5 * m), np.empty(3 * m, np.int64)
+    _dstebz(b"I", b"B", n, _ZERO, _ONE, top, top, _ZERO, _at(d), _at(e), k, nsplit, _at(w),
+            _at(iblock), _at(isplit), _at(work), _at(iwork), info, 1, 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info.value})")
+    z = np.empty((m, k.value), order="F")
+    ifail = np.empty(k.value, np.int64)
+    _dstein(n, _at(d), _at(e), k, _at(w), _at(iblock), _at(isplit), _at(z), n, _at(work),
+            _at(iwork), _at(ifail), info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstein failed (info={info.value})")
     return float(w[0]), z[:, 0]
+
+
+def dstevd(d, e) -> tuple[np.ndarray, np.ndarray, int]:
+    """LAPACK dstevd: all eigenvalues w, ascending, and the unit eigenvectors
+    z (as columns) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, and LAPACK's info; d and e are not changed, and
+    mismatched lengths raise ValueError.
+
+    The workspaces are the sizes scipy's f2py wrapper gives them, 1 + 4n + n^2
+    doubles and 3 + 5n integers.
+    """
+    d, e = _tridiagonal(d, e)
+    w, off, n = d.copy(), e.copy(), d.size
+    z = np.empty((n, n), order="F")
+    lwork, liwork, info = _int(1 + 4 * n + n * n), _int(3 + 5 * n), _int()
+    work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
+    size = _int(n)
+    _dstevd(b"V", size, _at(w), _at(off), _at(z), size, _at(work), lwork, _at(iwork), liwork,
+            info, 1)
+    return w, z, info.value

@@ -2,7 +2,7 @@
 the spectral start, a Lanczos run that gives the top eigenpair of M.
 
 Every product with the symmetric M goes through one BLAS kernel, `_symv`
-(`_lapack.symv`, scipy's compiled dsymv), which reads only M's upper
+(`_lapack.symv`, dsymv of numpy's OpenBLAS), which reads only M's upper
 triangle in place: M is stored as its upper triangle, in rows padded to
 page-aligned diagonals (model.sample_wigner), and whatever lies below the
 diagonal or in the padding is never read.

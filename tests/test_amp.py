@@ -1,5 +1,6 @@
 """AMP recursion, trajectory invariants and the Lanczos spectral initializer."""
 
+import ctypes
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -271,7 +272,8 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
     # the padded triangle, C order and a split complement block, each
     # holding its upper triangle; dsymv must get the address of the
     # caller's M with M's own row stride as its leading dimension, never a
-    # copy
+    # copy, in the ILP64 Fortran convention: 64-bit integers by reference
+    # and uplo's hidden length, 1, last
     model = _z2_model(300, 1.5, 4)
     M = model.observed
     Ic = np.sort(np.random.default_rng(1).choice(300, size=170, replace=False))
@@ -279,7 +281,8 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
     dsymv = _lapack._dsymv
 
     def recording(uplo, n, alpha, a, lda, *rest):
-        received.append((a, lda.value))
+        assert uplo == b"L" and type(n) is type(lda) is ctypes.c_int64 and rest[-1] == 1
+        received.append((n.value, a, lda.value))
         return dsymv(uplo, n, alpha, a, lda, *rest)
 
     monkeypatch.setattr(_lapack, "_dsymv", recording)
@@ -291,8 +294,8 @@ def test_symv_matches_matmul_without_copying_M(monkeypatch):
         received.clear()
         y = rng.standard_normal(A.shape[0])
         got = amp._symv(A, y)
-        ((a, lda),) = received
-        assert a == A.ctypes.data and lda == A.strides[0] // 8
+        ((n, a, lda),) = received
+        assert n == A.shape[0] and a == A.ctypes.data and lda == A.strides[0] // 8
         full = dense(A)
         bound = 1e-13 * np.linalg.norm(full) * np.linalg.norm(y)
         assert np.max(np.abs(got - full @ y)) <= bound

@@ -240,33 +240,63 @@ def test_requires_subcommand(capsys):
         cli.main([])
 
 
-def _fresh_modules(code: str, absent: list[str]) -> list[str]:
-    """The modules of `absent` loaded after running `code` in a fresh interpreter."""
+def _fresh_json(code: str):
+    """The JSON value that `code`, run in a fresh interpreter, prints last."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            "SPIKED_AMP_WORKERS": "1"}
-    code = f"{code}\nimport json, sys; print(json.dumps([m for m in {absent} if m in sys.modules]))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # The package inits of scipy.stats, scipy.linalg and scipy.special, and
-    # the numpy.f2py and numpy.testing that scipy's array-API layer pulls in,
-    # take most of a CLI start's time and memory; the package needs none of
-    # them: its BLAS and LAPACK routines come from scipy's compiled modules.
-    # The process pool is imported only by a run with more than one worker.
-    absent = ["scipy.stats", "scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing",
-              "concurrent.futures.process", "multiprocessing"]
+def _fresh_modules(code: str, absent: list[str]) -> list[str]:
+    """The modules of `absent` loaded after running `code` in a fresh interpreter."""
+    return _fresh_json(f"{code}\nimport json, sys; "
+                       f"print(json.dumps([m for m in {absent} if m in sys.modules]))")
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is not a runtime dependency: the BLAS and LAPACK routines are
+    # those of numpy's OpenBLAS.  numpy.f2py and numpy.testing, which
+    # scipy's array-API layer would import, stay out too.  The process pool
+    # is imported only by a run with more than one worker.
+    absent = ["scipy", "numpy.f2py", "numpy.testing", "concurrent.futures.process",
+              "multiprocessing"]
     assert _fresh_modules("import spiked_amp.cli", absent) == []
 
 
 def test_cli_run_leaves_out_numpy_ma(tmp_path):
     # the summary's median and quantiles repeat np.median's and
     # np.quantile's steps without the calls, which import numpy.ma; one
-    # worker needs no process pool either
+    # worker needs no process pool, and no step of a run needs scipy
     out = str(tmp_path / "z2.csv")
     code = f"from spiked_amp import cli; cli.main({[*Z2_ARGS, '--out', out]!r})"
-    absent = ["numpy.ma", "concurrent.futures.process", "multiprocessing"]
+    absent = ["numpy.ma", "concurrent.futures.process", "multiprocessing", "scipy"]
     assert _fresh_modules(code, absent) == []
     assert Path(out).read_text().startswith("trial_id,t,metric_name,value")
+
+
+def test_cli_run_without_scipy_writes_the_same_bytes(tmp_path, monkeypatch):
+    # with scipy made unimportable a one-worker run writes the bytes of a
+    # run in this interpreter, where scipy can be imported
+    blocked, free = str(tmp_path / "blocked.csv"), tmp_path / "free.csv"
+    code = ('import sys; sys.modules["scipy"] = None\n'
+            f"from spiked_amp import cli; print(cli.main({[*Z2_ARGS, '--out', blocked]!r}))")
+    assert _fresh_json(code) == 0
+    monkeypatch.setenv("SPIKED_AMP_WORKERS", "1")
+    assert cli.main([*Z2_ARGS, "--out", str(free)]) == 0
+    assert Path(blocked).read_bytes() == free.read_bytes()
+
+
+def test_cli_run_loads_one_blas():
+    # numpy's OpenBLAS is the only one in a process that has run a trial,
+    # so its matvecs and its LAPACK calls share one library and one thread pool
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    args = ["z2", "--n", "60", "--T", "2", "--trials", "1"]
+    code = (f"from spiked_amp import cli; cli.main({args!r})\n"
+            "import json, os\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    paths = {line.split()[-1] for line in fh if len(line.split()) > 5}\n"
+            "print(json.dumps(sorted(p for p in paths if 'openblas' in os.path.basename(p))))")
+    assert len(_fresh_json(code)) == 1

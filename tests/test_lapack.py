@@ -1,11 +1,12 @@
-"""The BLAS/LAPACK bindings against scipy.linalg's own wrappers, bit for bit."""
+"""The BLAS/LAPACK bindings to numpy's OpenBLAS against scipy.linalg's own
+wrappers, bit for bit."""
 
+import ctypes
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import blas, eigh_tridiagonal
+from scipy.linalg import blas, eigh_tridiagonal, lapack
 
 from spiked_amp import _lapack, model
 
@@ -69,7 +70,7 @@ def test_symv_refuses_mismatched_shapes(M, y):
         _lapack.symv(M, y)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 80])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 80, 150])
 def test_tridiagonal_top_is_eigh_tridiagonal_bit_for_bit(m):
     rng = np.random.default_rng(m)
     d = rng.standard_normal(m).tolist()
@@ -88,17 +89,44 @@ def test_tridiagonal_top_refuses_a_nonfinite_entry(where):
         _lapack.tridiagonal_top(d, e)
 
 
+@pytest.mark.parametrize("routine", ["tridiagonal_top", "dstevd"])
+@pytest.mark.parametrize("d, e", [([1.0, 2.0, 3.0], [0.5]), ([1.0, 2.0], [0.5, 0.5]),
+                                  ([[1.0, 2.0]], [0.5])])
+def test_tridiagonal_routines_refuse_mismatched_lengths(routine, d, e):
+    # LAPACK reads m - 1 off-diagonal entries whatever e holds
+    with pytest.raises(ValueError, match="shapes"):
+        getattr(_lapack, routine)(d, e)
+
+
+@pytest.mark.parametrize("order", [5, 80, 201, 400])
+def test_dstevd_is_scipys_bit_for_bit(order):
+    # the Golub-Welsch matrix of se.gauss_hermite; d and e are left as given
+    d, e = np.zeros(order), np.sqrt(np.arange(1.0, order))
+    w, z, info = _lapack.dstevd(d, e)
+    want_w, want_z, want_info = lapack.dstevd(d, e)
+    assert info == want_info == 0
+    assert np.array_equal(w, want_w) and np.array_equal(z, want_z)
+    assert not d.any() and np.array_equal(e, np.sqrt(np.arange(1.0, order)))
+
+
 @pytest.mark.parametrize("info", [-2, 3])
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_tridiagonal_top_names_a_lapack_failure(monkeypatch, routine, info):
-    real = _lapack._flapack
-    fake = SimpleNamespace(dstebz=real.dstebz, dstein=real.dstein)
-    setattr(fake, routine, lambda *args: (*getattr(real, routine)(*args)[:-1], info))
-    monkeypatch.setattr(_lapack, "_flapack", fake)
+    real = getattr(_lapack, f"_{routine}")
+
+    def failing(*args):
+        real(*args)
+        # INFO is the last integer argument, before any hidden string lengths
+        next(a for a in reversed(args) if isinstance(a, ctypes.c_int64)).value = info
+
+    monkeypatch.setattr(_lapack, f"_{routine}", failing)
     with pytest.raises(np.linalg.LinAlgError, match=rf"{routine} failed \(info={info}\)"):
         _lapack.tridiagonal_top([1.0, 2.0, 3.0], [0.5, 0.5])
 
 
-def test_missing_compiled_module_is_named():
-    with pytest.raises(ImportError, match="_nosuchmodule"):
-        _lapack._load("_nosuchmodule")
+def test_missing_symbol_is_named():
+    # a numpy whose BLAS lacks a routine is refused at import, by name
+    with pytest.raises(ImportError, match=r"does not export scipy_dnosuch_64_") as err:
+        _lapack._bind("dnosuch")
+    blas_info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert str(blas_info["name"]) in str(err.value)

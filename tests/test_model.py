@@ -257,8 +257,15 @@ _RSS_PROBE = """
         with open("/proc/self/status") as fh:
             return next(int(line.split()[1]) for line in fh if line.startswith(field))
 
+    # first-call allocations: the code, the numpy and LAPACK routines and the
+    # allocator arenas that a z2 build and a split build touch first
     small = harness.build_config({{"experiment": "Z2Pipeline", "n": 64, "lambda": 1.5, "T": 1}})
-    harness._build_model(small, 1, "z2")  # first-call allocations
+    harness._build_model(small, 1, "z2")
+    small = harness.build_config({{"experiment": "SparsePipeline", "n": 128, "k": 8,
+                                  "lambda": 3.0, "T": 1}})
+    m = harness._build_model(small, 1, "sparse-dirac")
+    sa.principal_block(m.observed,
+                       sa.sample_split_init(m, *sa.default_split_params(128, 8), 1).complement)
     n = {n}
     config = harness.build_config({config!r})
     before = kib("VmRSS:")
@@ -345,15 +352,18 @@ def test_split_build_peak_memory_pages():
     # block M[I^c, J] at a time, |I^c| < n rows by |J| <= 2 k_hint columns,
     # and the block gather releases the pages it has passed, so its writes
     # below the source rows' diagonals do not add to M's whole tail.  The
-    # allowance, 400 pages (1.6 MB), is the code the split path runs first
-    # (the Lanczos start's LAPACK routines, numpy's sort and gather loops)
-    # and the allocator's arenas: the same build at n = 300, whose cross
-    # block is under 0.12 MB, grows 1.46 to 1.66 MB beyond its triangle
+    # rest is the rounds' own data: each of the N rounds keeps I and I^c (n
+    # indices together) and x_j (under n doubles), and a round draws, masks
+    # and thresholds in four more n-length arrays.  The probe has run a
+    # small split build first, so the code and the allocator arenas the
+    # split path touches first are not counted: the same build at n = 300
+    # grows -0.11 to +0.01 MiB beyond its triangle
     n = 3000
-    k_hint = round(_SPLIT_K * sa.default_split_params(n, _SPLIT_K)[0])
+    p, N, _ = sa.default_split_params(n, _SPLIT_K)
+    k_hint = round(_SPLIT_K * p)
     per_page = mmap.PAGESIZE // 8
     pages = sum(-(-(n - i) // per_page) for i in range(n))
-    bound = pages * mmap.PAGESIZE + 8 * n * 2 * k_hint + 400 * mmap.PAGESIZE
+    bound = pages * mmap.PAGESIZE + 8 * n * 2 * k_hint + 8 * n * (2 * N + 4)
     assert _build_rss_bytes(n, _SPLIT_BUILD, _SPLIT_CONFIG) <= bound
 
 
