@@ -66,4 +66,4 @@ from .sparse_init import (
     sample_split_rounds,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

@@ -1,5 +1,7 @@
-"""The BLAS and LAPACK routines the package calls, bound through ctypes from
-the OpenBLAS that numpy itself links.
+"""The BLAS and LAPACK routines the package needs and numpy's API lacks,
+bound through ctypes from the OpenBLAS that numpy itself links: dsymv with
+a leading dimension, and dstebz/dstein for one eigenpair of a tridiagonal
+matrix.
 
 numpy's wheels link scipy-openblas64, an ILP64 OpenBLAS whose symbols carry
 a `scipy_` prefix and a `64_` suffix.  numpy's core extension has loaded it
@@ -23,7 +25,7 @@ import ctypes
 
 import numpy as np
 
-__all__ = ["dstevd", "symv", "tridiagonal_top"]
+__all__ = ["symv", "tridiagonal_top"]
 
 _int = ctypes.c_int64
 _int_p, _double_p = ctypes.POINTER(_int), ctypes.POINTER(ctypes.c_double)
@@ -54,24 +56,11 @@ _dstebz = _bind("dstebz", _char, _char, _int_p, _double_p, _double_p, _int_p, _i
 # dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info)
 _dstein = _bind("dstein", _int_p, _ptr, _ptr, _int_p, _ptr, _ptr, _ptr, _ptr, _int_p, _ptr,
                 _ptr, _ptr, _int_p)
-# dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
-_dstevd = _bind("dstevd", _char, _int_p, _ptr, _ptr, _ptr, _int_p, _ptr, _int_p, _ptr,
-                _int_p, _int_p, _len)
 _ONE, _ZERO, _STEP = ctypes.c_double(1.0), ctypes.c_double(0.0), _int(1)
 
 
 def _at(a: np.ndarray) -> int:
     return a.ctypes.data
-
-
-def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
-    """d and e as contiguous float64 arrays, refused unless e is one shorter."""
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
-    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
-        raise ValueError(f"a tridiagonal matrix needs d of length m and e of length m - 1, "
-                         f"got shapes {d.shape} and {e.shape}")
-    return d, e
 
 
 def symv(M: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,12 +102,14 @@ def tridiagonal_top(d, e) -> tuple[float, np.ndarray]:
     raise ValueError and a nonzero LAPACK info raises
     numpy.linalg.LinAlgError (a ValueError).
     """
-    d, e = _tridiagonal(d, e)
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError(f"a tridiagonal matrix needs d of length m and e of length m - 1, "
+                         f"got shapes {d.shape} and {e.shape}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal matrix has a non-finite entry")
     m = d.shape[0]
-    if m == 1:
-        return float(d[0]), np.ones(1)
     n, top, k, nsplit, info = _int(m), _int(m), _int(), _int(), _int()
     w, iblock, isplit = np.empty(m), np.empty(m, np.int64), np.empty(m, np.int64)
     work, iwork = np.empty(5 * m), np.empty(3 * m, np.int64)
@@ -133,23 +124,3 @@ def tridiagonal_top(d, e) -> tuple[float, np.ndarray]:
     if info.value != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstein failed (info={info.value})")
     return float(w[0]), z[:, 0]
-
-
-def dstevd(d, e) -> tuple[np.ndarray, np.ndarray, int]:
-    """LAPACK dstevd: all eigenvalues w, ascending, and the unit eigenvectors
-    z (as columns) of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, and LAPACK's info; d and e are not changed, and
-    mismatched lengths raise ValueError.
-
-    The workspaces are the sizes scipy's f2py wrapper gives them, 1 + 4n + n^2
-    doubles and 3 + 5n integers.
-    """
-    d, e = _tridiagonal(d, e)
-    w, off, n = d.copy(), e.copy(), d.size
-    z = np.empty((n, n), order="F")
-    lwork, liwork, info = _int(1 + 4 * n + n * n), _int(3 + 5 * n), _int()
-    work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
-    size = _int(n)
-    _dstevd(b"V", size, _at(w), _at(off), _at(z), size, _at(work), lwork, _at(iwork), liwork,
-            info, 1)
-    return w, z, info.value

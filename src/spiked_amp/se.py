@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._lapack import dstevd
-
 __all__ = [
     "ConvergenceFailureError",
     "DegenerateSeError",
@@ -76,13 +74,16 @@ class Quadrature:
 @lru_cache(maxsize=8)
 def gauss_hermite(order: int = DEFAULT_ORDER) -> Quadrature:
     # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    # probabilists' Hermite polynomials (zero diagonal, off-diagonal sqrt(k)),
-    # and each weight is the squared first entry of its unit eigenvector.  It
-    # stays finite at any order, unlike numpy.polynomial's hermgauss, which
-    # overflows beyond ~400 nodes.  The rule is made exactly symmetric.
-    x, z, info = dstevd(np.zeros(order), np.sqrt(np.arange(1.0, order)))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstevd failed (info={info})")
+    # probabilists' Hermite polynomials (zero diagonal, off-diagonal sqrt(k),
+    # stored in the lower triangle np.linalg.eigh reads), and each weight is
+    # the squared first entry of its unit eigenvector.  At the orders the
+    # tests check, it is bit-equal to the rule from scipy's LAPACK
+    # tridiagonal solver on the same diagonals.  It stays finite at any
+    # order, unlike numpy.polynomial's hermgauss, which overflows beyond ~400
+    # nodes.  The rule is made exactly symmetric.
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"quadrature order must be an integer >= 1, got {order!r}")
+    x, z = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, order)), -1))
     w = z[0] ** 2
     nodes = (x - x[::-1]) / 2.0
     weights = w + w[::-1]

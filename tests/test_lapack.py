@@ -1,5 +1,6 @@
-"""The BLAS/LAPACK bindings to numpy's OpenBLAS against scipy.linalg's own
-wrappers, bit for bit."""
+"""The BLAS/LAPACK bindings to numpy's OpenBLAS (dsymv, dstebz/dstein)
+against scipy.linalg's own wrappers, bit for bit, and the Gauss-Hermite rule
+numpy's eigh computes against the one scipy's dstevd gives."""
 
 import ctypes
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, eigh_tridiagonal, lapack
 
-from spiked_amp import _lapack, model
+from spiked_amp import _lapack, model, se
 
 
 def test_dsymv_is_scipys_bit_for_bit():
@@ -89,24 +90,26 @@ def test_tridiagonal_top_refuses_a_nonfinite_entry(where):
         _lapack.tridiagonal_top(d, e)
 
 
-@pytest.mark.parametrize("routine", ["tridiagonal_top", "dstevd"])
 @pytest.mark.parametrize("d, e", [([1.0, 2.0, 3.0], [0.5]), ([1.0, 2.0], [0.5, 0.5]),
                                   ([[1.0, 2.0]], [0.5])])
-def test_tridiagonal_routines_refuse_mismatched_lengths(routine, d, e):
+def test_tridiagonal_top_refuses_mismatched_lengths(d, e):
     # LAPACK reads m - 1 off-diagonal entries whatever e holds
     with pytest.raises(ValueError, match="shapes"):
-        getattr(_lapack, routine)(d, e)
+        _lapack.tridiagonal_top(d, e)
 
 
-@pytest.mark.parametrize("order", [5, 80, 201, 400])
-def test_dstevd_is_scipys_bit_for_bit(order):
-    # the Golub-Welsch matrix of se.gauss_hermite; d and e are left as given
-    d, e = np.zeros(order), np.sqrt(np.arange(1.0, order))
-    w, z, info = _lapack.dstevd(d, e)
-    want_w, want_z, want_info = lapack.dstevd(d, e)
-    assert info == want_info == 0
-    assert np.array_equal(w, want_w) and np.array_equal(z, want_z)
-    assert not d.any() and np.array_equal(e, np.sqrt(np.arange(1.0, order)))
+@pytest.mark.parametrize("order", [5, 80, 201, 400, 402, 1000])
+def test_gauss_hermite_is_scipys_dstevd_bit_for_bit(order):
+    # the Golub-Welsch rule from the Jacobi matrix's tridiagonal solver,
+    # made symmetric and normalised as se.gauss_hermite does
+    x, z, info = lapack.dstevd(np.zeros(order), np.sqrt(np.arange(1.0, order)))
+    assert info == 0
+    w = z[0] ** 2
+    weights = w + w[::-1]
+    weights /= weights.sum()
+    q = se.gauss_hermite(order)
+    assert np.array_equal(q.nodes, (x - x[::-1]) / 2.0)
+    assert np.array_equal(q.weights, weights)
 
 
 @pytest.mark.parametrize("info", [-2, 3])

@@ -39,6 +39,12 @@ def test_large_order_supported():
     assert se.gauss_expect(lambda z: z * z, q2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [0, -1, 2.5, True])
+def test_quadrature_refuses_a_bad_order(order):
+    with pytest.raises(ValueError, match=rf"quadrature order .* got {order!r}$"):
+        se.gauss_hermite(order)
+
+
 @pytest.mark.parametrize("order", [201, 402])
 def test_quadrature_matches_scipy_roots_hermite(order):
     q = se.gauss_hermite(order)
@@ -125,6 +131,12 @@ def test_z2_fixed_point_against_brentq():
         assert fp.converged
         assert abs(fp.fixed_point - root) < 1e-9
         assert lam * lam - 1.0 < fp.fixed_point < lam * lam
+
+
+def test_z2_fixed_point_names_lam_when_it_does_not_converge(monkeypatch):
+    monkeypatch.setattr(se, "_MAX_ITER", 3)
+    with pytest.raises(se.ConvergenceFailureError, match=r"within 3 iterations at lam=1\.1$"):
+        se.se_z2_fixed_point(1.1, Q)
 
 
 def test_z2_trajectory_monotone():
