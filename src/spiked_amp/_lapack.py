@@ -1,7 +1,6 @@
 """The BLAS and LAPACK routines the package needs and numpy's API lacks,
 bound through ctypes from the OpenBLAS that numpy itself links: dsymv with
-a leading dimension, and dstebz/dstein for one eigenpair of a tridiagonal
-matrix.
+a leading dimension, and dstevx for one eigenpair of a tridiagonal matrix.
 
 numpy's wheels link scipy-openblas64, an ILP64 OpenBLAS whose symbols carry
 a `scipy_` prefix and a `64_` suffix.  numpy's core extension has loaded it
@@ -48,14 +47,11 @@ def _bind(routine: str, *argtypes):
 # dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy)
 _dsymv = _bind("dsymv", _char, _int_p, _double_p, _ptr, _int_p, _ptr, _int_p, _double_p,
                _ptr, _int_p, _len)
-# dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-#        isplit, work, iwork, info)
-_dstebz = _bind("dstebz", _char, _char, _int_p, _double_p, _double_p, _int_p, _int_p,
-                _double_p, _ptr, _ptr, _int_p, _int_p, _ptr, _ptr, _ptr, _ptr, _ptr, _int_p,
+# dstevx(jobz, range, n, d, e, vl, vu, il, iu, abstol, m, w, z, ldz, work, iwork,
+#        ifail, info)
+_dstevx = _bind("dstevx", _char, _char, _int_p, _ptr, _ptr, _double_p, _double_p, _int_p,
+                _int_p, _double_p, _int_p, _ptr, _ptr, _int_p, _ptr, _ptr, _ptr, _int_p,
                 _len, _len)
-# dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork, ifail, info)
-_dstein = _bind("dstein", _int_p, _ptr, _ptr, _int_p, _ptr, _ptr, _ptr, _ptr, _int_p, _ptr,
-                _ptr, _ptr, _int_p)
 _ONE, _ZERO, _STEP = ctypes.c_double(1.0), ctypes.c_double(0.0), _int(1)
 
 
@@ -96,31 +92,33 @@ def tridiagonal_top(d, e) -> tuple[float, np.ndarray]:
     """The largest eigenvalue of the symmetric tridiagonal matrix with
     diagonal d and off-diagonal e, and its unit eigenvector.
 
-    The same LAPACK calls as `scipy.linalg.eigh_tridiagonal(d, e,
-    select="i", select_range=(m - 1, m - 1))`, m = len(d): dstebz for the
-    value, dstein for the vector.  Mismatched lengths or a non-finite entry
-    raise ValueError and a nonzero LAPACK info raises
-    numpy.linalg.LinAlgError (a ValueError).
+    One LAPACK dstevx call for the m-th of m eigenpairs, m = len(d).  For
+    m >= 2 it makes the LAPACK calls of `scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(m - 1, m - 1))`: bisection for the value and
+    inverse iteration for the vector; for m = 1 it returns (d[0], [1]).  It
+    rescales a matrix whose largest entry in magnitude lies outside about
+    [1.5e-146, 8e76], which can move the result's last bits; amp's
+    spectral_init divides its tridiagonal by ||M v||, so its entries are
+    O(1).  An empty matrix, mismatched lengths or a non-finite entry raise
+    ValueError, and a nonzero LAPACK info raises numpy.linalg.LinAlgError
+    (a ValueError).
     """
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
+    # copies: dstevx rescales d and e in place
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
         raise ValueError(f"a tridiagonal matrix needs d of length m and e of length m - 1, "
                          f"got shapes {d.shape} and {e.shape}")
+    if d.size == 0:
+        raise ValueError("the tridiagonal matrix is empty (m = 0): it has no eigenpair")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal matrix has a non-finite entry")
     m = d.shape[0]
-    n, top, k, nsplit, info = _int(m), _int(m), _int(), _int(), _int()
-    w, iblock, isplit = np.empty(m), np.empty(m, np.int64), np.empty(m, np.int64)
-    work, iwork = np.empty(5 * m), np.empty(3 * m, np.int64)
-    _dstebz(b"I", b"B", n, _ZERO, _ONE, top, top, _ZERO, _at(d), _at(e), k, nsplit, _at(w),
-            _at(iblock), _at(isplit), _at(work), _at(iwork), info, 1, 1)
+    n, top, found, info = _int(m), _int(m), _int(), _int()
+    w, z = np.empty(m), np.empty(m)
+    work, iwork, ifail = np.empty(5 * m), np.empty(5 * m, np.int64), np.empty(m, np.int64)
+    _dstevx(b"V", b"I", n, _at(d), _at(e), _ZERO, _ZERO, top, top, _ZERO, found, _at(w),
+            _at(z), n, _at(work), _at(iwork), _at(ifail), info, 1, 1)
     if info.value != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info.value})")
-    z = np.empty((m, k.value), order="F")
-    ifail = np.empty(k.value, np.int64)
-    _dstein(n, _at(d), _at(e), k, _at(w), _at(iblock), _at(isplit), _at(z), n, _at(work),
-            _at(iwork), _at(ifail), info)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstein failed (info={info.value})")
-    return float(w[0]), z[:, 0]
+        raise np.linalg.LinAlgError(f"LAPACK dstevx failed (info={info.value})")
+    return float(w[0]), z

@@ -6,9 +6,10 @@ below the diagonal are zero and never read.  sample_wigner writes the
 triangle into an anonymous map whose rows lie ld = 512 k - 1 >= n entries
 apart, so that every diagonal entry starts a 4 KB page: row i's upper part
 commits ceil((n - i) / 512) pages, and the pages that would hold only lower
-entries or padding are never committed.  The normals go straight into
-their rows, and the spike is added a few rows at a time through one reused
-buffer, so building a model never holds a second n x n temporary.
+entries or padding are never committed.  Each row's normals are drawn
+into one scratch row and its upper part is scaled into place, and the
+spike is added one row at a time over the signal's support, so building a
+model never holds a second n x n temporary.
 principal_block gathers a principal block into the map of the M it is
 given, rows padded the same way, so taking a block does not hold a second
 map either; it returns M's pages past the block's end to the OS as the
@@ -35,9 +36,6 @@ __all__ = [
 ]
 
 _SIGNAL_KINDS = ("z2", "sparse-dirac")
-
-# rows of the outer product lam v v^T held at once while adding the spike
-_SPIKE_ROWS = 8
 
 # the least stretch of dead pages principal_block returns to the OS mid-gather
 _RELEASE_BYTES = 1 << 20
@@ -123,15 +121,14 @@ def sample_wigner(n: int, seed: int) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = substream(seed, "wigner")
     w = _mapped_triangle(n)
-    # the row-major stream of an n x n draw: row i's first i normals lie
-    # below the diagonal and go to a scratch row, the rest straight into w
+    # the row-major stream of an n x n draw: row i's n normals go to a
+    # scratch row, and the last n - i of them, on and above the diagonal,
+    # are scaled into w
     scale = np.sqrt(n)
     scratch = np.empty(n)
     for i in range(n):
-        rng.standard_normal(out=scratch[:i])
-        row = w[i, i:]
-        rng.standard_normal(out=row)
-        row /= scale
+        rng.standard_normal(out=scratch)
+        np.divide(scratch[i:], scale, out=w[i, i:])
     diagonal = rng.standard_normal(out=scratch)
     diagonal *= np.sqrt(2.0 / n)
     np.einsum("ii->i", w)[:] = diagonal
@@ -170,8 +167,8 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     `noise` up, so it must be a writeable float64 array, C-contiguous along
     its rows with rows at least n entries apart, owning its data or backed
     directly by a map, not a view of another array.
-    lam must be finite.  v_star is copied; its all-zero 8-row blocks add
-    nothing and are skipped.
+    lam must be finite.  v_star is copied; the spike is added row by row
+    over its support, so its zero entries cost nothing.
     """
     v_star = np.array(v_star, dtype=np.float64)
     n = v_star.shape[0]
@@ -190,17 +187,12 @@ def make_spiked(lam: float, v_star: np.ndarray, noise: np.ndarray) -> SpikedMode
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
     nrm = np.linalg.norm(v_star)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm too
         raise ValueError(f"v_star must be unit norm, got ||v|| = {nrm!r}")
-    buf = np.empty((min(_SPIKE_ROWS, n), n))
-    for b in range(0, n, _SPIKE_ROWS):
-        if not v_star[b:b + _SPIKE_ROWS].any():
-            continue  # the block would add +-0.0 alone
-        rows = buf[:min(_SPIKE_ROWS, n - b)]
-        np.multiply(v_star[b:b + _SPIKE_ROWS, None], v_star, out=rows)
-        rows *= lam
-        for i, row in enumerate(rows, start=b):
-            noise[i, i:] += row[i:]
+    for i in np.flatnonzero(v_star):
+        row = v_star[i] * v_star[i:]
+        row *= lam
+        noise[i, i:] += row
     return SpikedModel(n=n, lam=float(lam), v_star=_freeze(v_star), observed=_freeze(noise))
 
 

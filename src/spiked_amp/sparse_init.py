@@ -139,15 +139,15 @@ def sample_split_rounds(
     N: int,
     tau1: float,
     seed: int,
-    k_hint: int | None = None,
 ) -> list[SplitRound]:
     """Run all N split rounds and return them, skipped ones included.
 
     A round is skipped when its partition leaves either block empty or when
     the soft-threshold wipes the propagated vector to zero; skipped rounds
-    carry score -inf so the argmax never picks them.  k_hint defaults to
-    max(1, round(k p)) with k the support size of model.v_star, so a model
-    with a dense signal uses k = n.
+    carry score -inf so the argmax never picks them.  The oracle's block
+    holds the 2 k_hint largest diagonal entries, k_hint = max(1, round(k p))
+    with k the support size of model.v_star, so a model with a dense signal
+    uses k = n.
     """
     n = model.n
     if not 0.0 < p < 1.0:
@@ -158,10 +158,7 @@ def sample_split_rounds(
         raise ValueError("N must be positive")
     if tau1 <= 0:
         raise ValueError("tau1 must be positive")
-    if k_hint is None:
-        k_hint = max(1, round(np.count_nonzero(model.v_star) * p))
-    if k_hint < 1:
-        raise ValueError(f"k_hint must be at least 1, got {k_hint}")
+    k_hint = max(1, round(np.count_nonzero(model.v_star) * p))
     rounds: list[SplitRound] = []
     for j in range(N):
         mask = substream(seed, "split-round", j).random(n) < p
@@ -180,14 +177,13 @@ def sample_split_init(
     N: int,
     tau1: float,
     seed: int,
-    k_hint: int | None = None,
 ) -> SplitRound:
     """The winning split round; its x_j is the unit candidate over I^c.
 
     The caller is expected to run AMP on the complement block
     M[complement, complement], not on the full matrix.
     """
-    rounds = sample_split_rounds(model, p, N, tau1, seed, k_hint=k_hint)
+    rounds = sample_split_rounds(model, p, N, tau1, seed)
     live = [r for r in rounds if not r.skipped]
     if not live:
         raise InitializationFailureError(f"all {N} split rounds were skipped")

@@ -1,6 +1,6 @@
-"""The BLAS/LAPACK bindings to numpy's OpenBLAS (dsymv, dstebz/dstein)
-against scipy.linalg's own wrappers, bit for bit, and the Gauss-Hermite rule
-numpy's eigh computes against the one scipy's dstevd gives."""
+"""The BLAS/LAPACK bindings to numpy's OpenBLAS (dsymv, dstevx) against
+scipy.linalg's own wrappers, bit for bit, and the Gauss-Hermite rule numpy's
+eigh computes against the one scipy's dstevd gives."""
 
 import ctypes
 import tracemalloc
@@ -98,6 +98,13 @@ def test_tridiagonal_top_refuses_mismatched_lengths(d, e):
         _lapack.tridiagonal_top(d, e)
 
 
+def test_tridiagonal_top_refuses_an_empty_matrix(capfd):
+    # dstevx with m = 0 finds no eigenpair and reports no error
+    with pytest.raises(ValueError, match=r"tridiagonal matrix is empty \(m = 0\)"):
+        _lapack.tridiagonal_top([], [])
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("order", [5, 80, 201, 400, 402, 1000])
 def test_gauss_hermite_is_scipys_dstevd_bit_for_bit(order):
     # the Golub-Welsch rule from the Jacobi matrix's tridiagonal solver,
@@ -113,7 +120,7 @@ def test_gauss_hermite_is_scipys_dstevd_bit_for_bit(order):
 
 
 @pytest.mark.parametrize("info", [-2, 3])
-@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+@pytest.mark.parametrize("routine", ["dstevx"])
 def test_tridiagonal_top_names_a_lapack_failure(monkeypatch, routine, info):
     real = getattr(_lapack, f"_{routine}")
 

@@ -292,7 +292,7 @@ def _build_rss_bytes(n: int, build: str, config: dict | None = None) -> int:
 def _upper_bound_bytes(n: int) -> float:
     # the upper triangle, 4 n^2 bytes, is within 0.6 * 8 n^2; each row adds
     # at most one part-written 4 KB page, the draw one scratch row and the
-    # spike buffer a few rows
+    # spike one row
     return 0.6 * 8 * n * n + 4096 * n + 64 * 8 * n
 
 
@@ -314,8 +314,8 @@ def test_wigner_commits_the_pages_of_its_upper_rows():
 
 
 def test_make_spiked_peak_memory_few_rows():
-    # the spike goes in through one buffer of a few rows, not a row block
-    # of lam v v^T per step; numpy's own ufunc buffers add at most 128 KB
+    # the spike goes in one row of lam v v^T at a time, over v's support,
+    # not a row block per step; numpy's own ufunc buffers add at most 128 KB
     n = 2000
     v = sa.make_signal(kind="z2", n=n, seed=4)
     W = sa.sample_wigner(n, 4)
@@ -370,6 +370,13 @@ def test_split_build_peak_memory_pages():
 def test_make_spiked_rejects_nonunit():
     with pytest.raises(ValueError):
         sa.make_spiked(1.0, np.ones(10), np.zeros((10, 10)))
+
+
+def test_make_spiked_rejects_a_nan_v_star():
+    v = np.eye(10)[0]
+    v[3] = np.nan
+    with pytest.raises(ValueError, match=r"unit norm, got .*nan"):
+        sa.make_spiked(1.0, v, np.zeros((10, 10)))
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])

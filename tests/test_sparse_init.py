@@ -261,14 +261,6 @@ def test_round_parameter_validation(split_model, kwargs):
         sparse_init.sample_split_rounds(split_model, seed=0, **kwargs)
 
 
-@pytest.mark.parametrize("k_hint", [0, -3])
-def test_round_refuses_k_hint_below_one(split_model, k_hint):
-    # 0 would select an empty block, -3 all but six diagonal entries
-    with pytest.raises(ValueError, match=f"k_hint must be at least 1, got {k_hint}"):
-        sparse_init.sample_split_rounds(split_model, p=0.3, N=2, tau1=0.2, seed=5,
-                                        k_hint=k_hint)
-
-
 def test_k_hint_default(split_model, monkeypatch):
     seen = []
     real = sparse_init._oracle_selection
@@ -287,10 +279,15 @@ def test_k_hint_default(split_model, monkeypatch):
 # split rounds read only the entries they use
 
 
-def _dense_rounds(model, p, N, tau1, seed, k_hint):
+def _k_hint(model, p):
+    """The split rounds' k_hint: max(1, round(k p)), k = |support of v_star|."""
+    return max(1, round(np.count_nonzero(model.v_star) * p))
+
+
+def _dense_rounds(model, p, N, tau1, seed):
     """The split rounds computed on whole blocks: the oracle on all of M_II,
     the propagation through all of M_IcI, the score on all of M_IcIc."""
-    M, n = dense(model.observed), model.n
+    M, n, k_hint = dense(model.observed), model.n, _k_hint(model, p)
     out = []
     for j in range(N):
         mask = substream(seed, "split-round", j).random(n) < p
@@ -328,13 +325,13 @@ def test_split_rounds_match_dense_reference():
     for seed in range(6):
         v = sa.make_signal(kind="sparse-dirac", n=n, k=k, seed=seed)
         model = sa.make_spiked(2 * k / np.sqrt(n), v, sa.sample_wigner(n, seed))
-        cases.append((model, 0.3, 8, 0.15, seed, 6))
+        cases.append((model, 0.3, 8, 0.15, seed))
     model, p, seed = _zero_oracle_block_model()
-    cases.append((model, p, 1, 0.1, seed, 2))
+    cases.append((model, p, 1, 0.1, seed))
     live_rounds = 0
-    for model, p, N, tau1, seed, k_hint in cases:
-        rounds = sparse_init.sample_split_rounds(model, p, N, tau1, seed, k_hint=k_hint)
-        want = _dense_rounds(model, p, N, tau1, seed, k_hint)
+    for model, p, N, tau1, seed in cases:
+        rounds = sparse_init.sample_split_rounds(model, p, N, tau1, seed)
+        want = _dense_rounds(model, p, N, tau1, seed)
         for r, (I, Ic, x_j, score, skipped, events) in zip(rounds, want, strict=True):
             np.testing.assert_array_equal(r.index_set, I)
             np.testing.assert_array_equal(r.complement, Ic)
@@ -368,12 +365,11 @@ def test_split_round_read_budget(split_model, monkeypatch):
     # block, the |Ic| x 2 k_hint propagation block and the |S|^2 score block
     model = SpikedModel(split_model.n, split_model.lam, split_model.v_star,
                         split_model.observed.view(_CountingMatrix))
-    k_hint = 6
+    k_hint = _k_hint(model, 0.3)
     live = 0
     for seed in range(6):
         monkeypatch.setattr(_CountingMatrix, "gathered", [])
-        (r,) = sparse_init.sample_split_rounds(model, p=0.3, N=1, tau1=0.2, seed=seed,
-                                               k_hint=k_hint)
+        (r,) = sparse_init.sample_split_rounds(model, p=0.3, N=1, tau1=0.2, seed=seed)
         if r.skipped:
             continue
         live += 1
