@@ -68,16 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         if unread:
             raise harness.ConfigError(f"{args.command} does not take {' '.join(unread)}")
         config = _resolve_config(args)
-    except (argparse.ArgumentError, harness.ConfigError) as exc:
-        print(f"[config] {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"[io] {exc}", file=sys.stderr)
-        return 3
-
-    scan = config.experiment in ("SeScan", "KappaScan")  # they read no trials or seed
-    print(f"[run] {config.experiment}" + ("" if scan else f" trials={config.trials} seed={config.seed}"))
-    try:
+        scan = config.experiment in ("SeScan", "KappaScan")  # they read no trials or seed
+        print(f"[run] {config.experiment}" + ("" if scan else f" trials={config.trials} seed={config.seed}"))
         if scan:
             rows: list = harness.run_scan(config)
             n_fail = sum(1 for r in rows if not r.pass_)
@@ -105,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[done] wrote {len(rows)} rows to {config.output_path}")
         else:
             print(f"[done] {len(rows)} rows (no --out given, nothing written)")
-    except harness.ConfigError as exc:
+    except (argparse.ArgumentError, harness.ConfigError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

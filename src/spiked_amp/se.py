@@ -68,7 +68,6 @@ class Quadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @lru_cache(maxsize=8)
@@ -90,34 +89,48 @@ def gauss_hermite(order: int = DEFAULT_ORDER) -> Quadrature:
     weights /= weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return Quadrature(nodes=nodes, weights=weights, order=order)
+    return Quadrature(nodes=nodes, weights=weights)
+
+
+def _weigh(vals, q: Quadrature) -> float:
+    """The rule's weighted sum of an integrand's values at its nodes."""
+    vals = np.asarray(vals, dtype=np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned a non-finite value at a node")
+    return float(q.weights @ vals)
 
 
 def gauss_expect(f: Callable[[np.ndarray], np.ndarray], q: Quadrature) -> float:
     """E[f(Z)] for standard normal Z via the rule; f must vectorize."""
-    vals = np.asarray(f(q.nodes), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value at a node")
-    return float(q.weights @ vals)
+    return _weigh(f(q.nodes), q)
 
 
 @dataclass(frozen=True)
 class SeTrajectory:
     values: tuple[float, ...]
     fixed_point: float | None
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
 # tanh (Z2-synchronization) state evolution
 
 
-def se_z2_step(tau: float, lam: float, q: Quadrature) -> float:
-    """One SE update: lam^2 E[tanh(tau + sqrt(tau) Z)]."""
+def _tanh_at_nodes(tau: float, q: Quadrature) -> tuple[np.ndarray, float]:
+    """tanh(tau + sqrt(tau) z) at the rule's nodes z, and sqrt(tau).
+
+    Each Z2 integral below weighs an integrand built from these values, and
+    tau > 0 is checked here for all of them.
+    """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     rt = np.sqrt(tau)
-    return lam * lam * gauss_expect(lambda z: np.tanh(tau + rt * z), q)
+    return np.tanh(tau + rt * q.nodes), rt
+
+
+def se_z2_step(tau: float, lam: float, q: Quadrature) -> float:
+    """One SE update: lam^2 E[tanh(tau + sqrt(tau) Z)]."""
+    th, _ = _tanh_at_nodes(tau, q)
+    return lam * lam * _weigh(th, q)
 
 
 def _iterate_se(step: Callable[[float], float], start: float, max_iter: int) -> SeTrajectory:
@@ -127,8 +140,8 @@ def _iterate_se(step: Callable[[float], float], start: float, max_iter: int) -> 
         # cur + (step - cur), not step(cur): the rounding the SE references keep
         values.append(cur + (step(cur) - cur))
         if abs(values[-1] - cur) < _TOL:
-            return SeTrajectory(values=tuple(values), fixed_point=values[-1], converged=True)
-    return SeTrajectory(values=tuple(values), fixed_point=None, converged=False)
+            return SeTrajectory(values=tuple(values), fixed_point=values[-1])
+    return SeTrajectory(values=tuple(values), fixed_point=None)
 
 
 def _se_prefix(step: Callable[[float], float], start: float, T: int) -> SeTrajectory:
@@ -156,7 +169,7 @@ def se_z2_fixed_point(lam: float, q: Quadrature) -> SeTrajectory:
     if lam <= 1.0:
         raise ValueError(f"need lam > 1, got {lam}")
     traj = _iterate_se(lambda t: se_z2_step(t, lam, q), lam * lam - 1.0, _MAX_ITER)
-    if not traj.converged:
+    if traj.fixed_point is None:
         raise ConvergenceFailureError(
             f"no fixed point within {_MAX_ITER} iterations at lam={lam}"
         )
@@ -165,32 +178,16 @@ def se_z2_fixed_point(lam: float, q: Quadrature) -> SeTrajectory:
 
 def t2_z2(lam: float, tau: float, q: Quadrature) -> float:
     """lam^2 E[(1 - tanh^2(tau + sqrt(tau) Z)) (1 + Z / (2 sqrt(tau)))]."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    rt = np.sqrt(tau)
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        th = np.tanh(tau + rt * z)
-        return (1.0 - th * th) * (1.0 + z / (2.0 * rt))
-
-    return lam * lam * gauss_expect(integrand, q)
+    th, rt = _tanh_at_nodes(tau, q)
+    return lam * lam * _weigh((1.0 - th * th) * (1.0 + q.nodes / (2.0 * rt)), q)
 
 
 def kappa2_z2(lam: float, tau: float, q: Quadrature) -> float:
     """max of the two squared-integrand Gaussian moments, times lam^2."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    rt = np.sqrt(tau)
-
-    def first(z: np.ndarray) -> np.ndarray:
-        th = np.tanh(tau + rt * z)
-        return ((z + 2.0 * rt * th) * (1.0 - th * th)) ** 2
-
-    def second(z: np.ndarray) -> np.ndarray:
-        th = np.tanh(tau + rt * z)
-        return (1.0 - th * th) ** 2
-
-    return lam * lam * max(gauss_expect(first, q), gauss_expect(second, q))
+    th, rt = _tanh_at_nodes(tau, q)
+    first = _weigh(((q.nodes + 2.0 * rt * th) * (1.0 - th * th)) ** 2, q)
+    second = _weigh((1.0 - th * th) ** 2, q)
+    return lam * lam * max(first, second)
 
 
 def quad_identity_check(tau: float, lam: float, q: Quadrature) -> tuple[float, float]:
@@ -199,12 +196,8 @@ def quad_identity_check(tau: float, lam: float, q: Quadrature) -> tuple[float, f
     The two agree for this particular mean/variance coupling; the pair is
     returned so callers can assert the gap.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    rt = np.sqrt(tau)
-    sq = lam * lam * gauss_expect(lambda z: np.tanh(tau + rt * z) ** 2, q)
-    lin = lam * lam * gauss_expect(lambda z: np.tanh(tau + rt * z), q)
-    return sq, lin
+    th, _ = _tanh_at_nodes(tau, q)
+    return lam * lam * _weigh(th**2, q), lam * lam * _weigh(th, q)
 
 
 def kappa_bound_z2(lam: float) -> float:
@@ -258,48 +251,51 @@ def ndtr(x):
     return cdf[inverse].reshape(x.shape)
 
 
-def soft_threshold_tail(mu, sigma: float, tau: float):
-    """P(|mu + sigma Z| > tau)."""
+# at |c| >= _Z_EMPTY the normal tail beyond c and the density at c are both 0
+# in double precision (they underflow beyond about 38.6)
+_Z_EMPTY = 40.0
+
+
+def _tails(mu, sigma: float, tau: float):
+    """The terms of the closed forms below for mu + sigma Z at thresholds +-tau.
+
+    Returns tau, c1 = (tau - mu) / sigma, c2 = (-tau - mu) / sigma, the tail
+    masses P(Z > c1) and P(Z < c2), and the densities at c1 and c2.  A tau
+    past max|mu| + 40 sigma empties every coordinate's tails, so it is
+    lowered to that bound, which the formulas' mu -+ tau terms then use:
+    each term is the same signed zero as at the given tau, and no square
+    overflows.
+    """
+    tau = min(tau, np.max(np.abs(mu), initial=0.0) + _Z_EMPTY * sigma)
     c1 = (tau - mu) / sigma
     c2 = (-tau - mu) / sigma
-    return ndtr(-c1) + ndtr(c2)
+    return tau, c1, c2, ndtr(-c1), ndtr(c2), _pdf(c1), _pdf(c2)
+
+
+def soft_threshold_tail(mu, sigma: float, tau: float):
+    """P(|mu + sigma Z| > tau)."""
+    _, _, _, p1, p2, _, _ = _tails(mu, sigma, tau)
+    return p1 + p2
 
 
 def soft_threshold_mean(mu, sigma: float, tau: float):
     """E[ soft_tau(mu + sigma Z) ]."""
-    c1 = (tau - mu) / sigma
-    c2 = (-tau - mu) / sigma
-    return (
-        (mu - tau) * ndtr(-c1)
-        + sigma * _pdf(c1)
-        + (mu + tau) * ndtr(c2)
-        - sigma * _pdf(c2)
-    )
+    tau, _, _, p1, p2, d1, d2 = _tails(mu, sigma, tau)
+    return (mu - tau) * p1 + sigma * d1 + (mu + tau) * p2 - sigma * d2
 
 
 def soft_threshold_second_moment(mu, sigma: float, tau: float):
     """E[ soft_tau(mu + sigma Z)^2 ]."""
-    c1 = (tau - mu) / sigma
-    c2 = (-tau - mu) / sigma
-    p1, p2 = ndtr(-c1), ndtr(c2)
-    upper = (
-        (mu - tau) ** 2 * p1
-        + 2.0 * (mu - tau) * sigma * _pdf(c1)
-        + sigma**2 * (p1 + c1 * _pdf(c1))
-    )
-    lower = (
-        (mu + tau) ** 2 * p2
-        - 2.0 * (mu + tau) * sigma * _pdf(c2)
-        + sigma**2 * (p2 - c2 * _pdf(c2))
-    )
+    tau, c1, c2, p1, p2, d1, d2 = _tails(mu, sigma, tau)
+    upper = (mu - tau) ** 2 * p1 + 2.0 * (mu - tau) * sigma * d1 + sigma**2 * (p1 + c1 * d1)
+    lower = (mu + tau) ** 2 * p2 - 2.0 * (mu + tau) * sigma * d2 + sigma**2 * (p2 - c2 * d2)
     return upper + lower
 
 
 def gauss_sq_indicator_mean(mu, sigma: float, tau: float):
     """E[ Z^2 1(|mu + sigma Z| > tau) ]."""
-    c1 = (tau - mu) / sigma
-    c2 = (-tau - mu) / sigma
-    return (ndtr(-c1) + c1 * _pdf(c1)) + (ndtr(c2) - c2 * _pdf(c2))
+    _, c1, c2, p1, p2, d1, d2 = _tails(mu, sigma, tau)
+    return (p1 + c1 * d1) + (p2 - c2 * d2)
 
 
 # ---------------------------------------------------------------------------

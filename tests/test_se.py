@@ -5,6 +5,8 @@ scipy adaptive quadrature against the closed-form soft-threshold moments,
 and node-doubled Gauss-Hermite against the default order.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
@@ -115,7 +117,7 @@ def test_z2_trajectory_exact_length_and_padding():
     assert len(se.se_z2_trajectory(1.5, 1, Q).values) == 1
     long = se.se_z2_trajectory(1.2, 300, Q)
     assert len(long.values) == 300
-    assert long.converged
+    assert long.fixed_point is not None
     # after convergence the sequence is padded with the fixed point
     assert long.values[-1] == long.values[-2]
 
@@ -128,7 +130,7 @@ def test_z2_fixed_point_against_brentq():
             lambda t: se.se_z2_step(t, lam, Q) - t,
             lam * lam - 1.0 + 1e-12, lam * lam, xtol=1e-13,
         )
-        assert fp.converged
+        assert fp.fixed_point is not None
         assert abs(fp.fixed_point - root) < 1e-9
         assert lam * lam - 1.0 < fp.fixed_point < lam * lam
 
@@ -323,6 +325,21 @@ def test_se_sparse_f_degenerate_when_threshold_huge(sparse_point):
     v, _ = sparse_point
     with pytest.raises(se.DegenerateSeError):
         se.se_sparse_f(1.0, v, 50.0, 1.0)
+
+
+@pytest.mark.parametrize("tau", [1e150, 1e154, 1e200, 1e300, 1.7e308])
+def test_sparse_se_past_every_tail_is_degenerate_not_nan(tau):
+    # Far past max|mu| + 40 sigma both tails of every coordinate are empty:
+    # the closed forms take their limit 0 without an overflow warning (a
+    # RuntimeWarning fails the test), and the SE map names the degeneracy.
+    v = sa.make_signal(kind="sparse-dirac", n=100, k=5, seed=1)
+    with pytest.raises(se.DegenerateSeError, match=re.escape(f"alpha=1.0, tau={tau}")):
+        se.se_sparse_f(1.0, v, tau, 1.0)
+    assert se.kappa2_sparse(1.0, v, tau, 1.0, 100) == 0.0
+    for f in (se.soft_threshold_tail, se.soft_threshold_mean,
+              se.soft_threshold_second_moment, se.gauss_sq_indicator_mean):
+        assert np.array_equal(f(1.0 * v, 0.1, tau), np.zeros(100))
+        assert f(0.3, 0.2, tau) == 0.0
 
 
 def test_kappa2_sparse_frozen_and_structure(sparse_point):
